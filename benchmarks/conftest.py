@@ -12,75 +12,19 @@ import os
 import numpy as np
 import pytest
 
-# Machine-readable perf records, written to BENCH_sweep.json at session end
-# so the sweep-engine throughput trajectory is tracked across PRs.
-_SWEEP_RECORDS = {}
+from repro.cli import _print_table as print_table  # noqa: F401 (re-exported)
 
-# Telemetry-overhead records, written to BENCH_telemetry.json — the <5%
-# instrumentation budget trajectory.
-_TELEMETRY_RECORDS = {}
-
-# Pipeline scheduler records, written to BENCH_pipeline.json — the
-# pipelined-vs-sequential speedup and DSE determinism trajectory.
-_PIPELINE_RECORDS = {}
-
-# Serving-layer records, written to BENCH_serve.json — request coalescing
-# and results-cache speedup trajectory.
-_SERVE_RECORDS = {}
-
-# Energy-model records, written to BENCH_energy.json — value-aware pricing
-# overhead and Pareto-DSE determinism trajectory.
-_ENERGY_RECORDS = {}
-
-# ECC-layer records, written to BENCH_ecc.json — block-codec speedup over
-# the scalar reference and advisor determinism trajectory.
-_ECC_RECORDS = {}
-
-# Workload records, written to BENCH_workloads.json — the attention
-# fork-join pipeline speedup and in-situ-training fast-path trajectory.
-_WORKLOADS_RECORDS = {}
+# Machine-readable perf records: BENCH file name -> record name -> payload.
+# Each file is written at session end so the kernel-level perf
+# trajectories (sweep engine, telemetry overhead, pipeline, serving,
+# energy models, ECC, workloads) are tracked across PRs.
+_RECORDS = {}
 
 
-def record_sweep_metrics(name, payload):
-    """Register one benchmark's metrics (e.g. trials/sec serial vs
-    parallel) for the session's ``BENCH_sweep.json``."""
-    _SWEEP_RECORDS[name] = payload
-
-
-def record_telemetry_metrics(name, payload):
-    """Register one benchmark's telemetry-overhead metrics for the
-    session's ``BENCH_telemetry.json``."""
-    _TELEMETRY_RECORDS[name] = payload
-
-
-def record_pipeline_metrics(name, payload):
-    """Register one benchmark's pipeline-scheduler metrics for the
-    session's ``BENCH_pipeline.json``."""
-    _PIPELINE_RECORDS[name] = payload
-
-
-def record_serve_metrics(name, payload):
-    """Register one benchmark's serving-layer metrics for the session's
-    ``BENCH_serve.json``."""
-    _SERVE_RECORDS[name] = payload
-
-
-def record_energy_metrics(name, payload):
-    """Register one benchmark's energy-model metrics for the session's
-    ``BENCH_energy.json``."""
-    _ENERGY_RECORDS[name] = payload
-
-
-def record_ecc_metrics(name, payload):
-    """Register one benchmark's ECC-layer metrics for the session's
-    ``BENCH_ecc.json``."""
-    _ECC_RECORDS[name] = payload
-
-
-def record_workloads_metrics(name, payload):
-    """Register one benchmark's workload metrics (attention / in-situ
-    training) for the session's ``BENCH_workloads.json``."""
-    _WORKLOADS_RECORDS[name] = payload
+def record(bench_file, name, payload):
+    """Register one benchmark's metrics as record ``name`` of the
+    session's ``bench_file`` (e.g. ``"BENCH_sweep.json"``)."""
+    _RECORDS.setdefault(bench_file, {})[name] = payload
 
 
 def validate_bench_schema(records, filename):
@@ -142,20 +86,8 @@ def pytest_sessionstart(session):
 
 
 def pytest_sessionfinish(session, exitstatus):
-    if _SWEEP_RECORDS:
-        _dump(_SWEEP_RECORDS, "BENCH_sweep.json")
-    if _TELEMETRY_RECORDS:
-        _dump(_TELEMETRY_RECORDS, "BENCH_telemetry.json")
-    if _PIPELINE_RECORDS:
-        _dump(_PIPELINE_RECORDS, "BENCH_pipeline.json")
-    if _SERVE_RECORDS:
-        _dump(_SERVE_RECORDS, "BENCH_serve.json")
-    if _ENERGY_RECORDS:
-        _dump(_ENERGY_RECORDS, "BENCH_energy.json")
-    if _ECC_RECORDS:
-        _dump(_ECC_RECORDS, "BENCH_ecc.json")
-    if _WORKLOADS_RECORDS:
-        _dump(_WORKLOADS_RECORDS, "BENCH_workloads.json")
+    for bench_file, records in _RECORDS.items():
+        _dump(records, bench_file)
 
 
 @pytest.fixture
@@ -170,30 +102,3 @@ def run_once(benchmark):
         )
 
     return _run
-
-
-def print_table(title, rows, columns=None):
-    """Print a list of dict rows as an aligned text table."""
-    if not rows:
-        print(f"\n== {title} == (empty)")
-        return
-    if columns is None:
-        columns = list(rows[0].keys())
-    widths = {
-        c: max(len(str(c)), max(len(_fmt(r.get(c))) for r in rows))
-        for c in columns
-    }
-    print(f"\n== {title} ==")
-    print("  ".join(str(c).ljust(widths[c]) for c in columns))
-    for row in rows:
-        print("  ".join(_fmt(row.get(c)).ljust(widths[c]) for c in columns))
-
-
-def _fmt(value):
-    if isinstance(value, float):
-        if value == 0:
-            return "0"
-        if abs(value) >= 1000 or abs(value) < 0.001:
-            return f"{value:.3e}"
-        return f"{value:.4g}"
-    return str(value)

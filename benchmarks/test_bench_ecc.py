@@ -6,7 +6,7 @@ BCH ``decode_block`` fast path must beat a scalar ``decode`` loop by
 ``>= CODEC_SPEEDUP_GATE`` (the correctness half — exhaustive bit-equality
 — lives in ``tests/test_testing_ecc_codes.py``).  Also proves the advisor
 is bit-identical serial vs parallel at any worker count, and writes the
-numbers to ``BENCH_ecc.json`` (via :func:`conftest.record_ecc_metrics`)
+numbers to ``BENCH_ecc.json`` (via :func:`conftest.record`)
 so the codec-throughput trajectory is tracked across PRs.
 """
 
@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import print_table, record_ecc_metrics
+from conftest import print_table, record
 
 #: The block decoder is the advisor's inner loop; anything under 3x over
 #: the scalar reference means the vectorization silently regressed.
@@ -75,7 +75,8 @@ def test_bch_block_codec_beats_scalar(run_once):
         ],
     )
     print(f"block-codec speedup: {speedup:.1f}x (gate {CODEC_SPEEDUP_GATE}x)")
-    record_ecc_metrics(
+    record(
+        "BENCH_ecc.json",
         "bch_block_codec",
         {
             "words": WORDS,
@@ -129,7 +130,8 @@ def test_advisor_parallel_bit_identical(run_once):
         f"bit-identical: True; knee = {knee_serial['code']} at yield "
         f"{knee_serial['cell_yield']}"
     )
-    record_ecc_metrics(
+    record(
+        "BENCH_ecc.json",
         "advisor_determinism",
         {
             "grid_rows": len(serial),

@@ -14,7 +14,7 @@ Gates:
   from the rows must not depend on worker count.
 
 Metrics land in ``BENCH_energy.json`` via
-:func:`conftest.record_energy_metrics` so the pricing-overhead
+:func:`conftest.record` so the pricing-overhead
 trajectory is tracked across PRs.
 """
 
@@ -23,7 +23,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import print_table, record_energy_metrics
+from conftest import print_table, record
 
 STATISTICAL_OVERHEAD_GATE = 2.0
 
@@ -85,7 +85,8 @@ def test_value_aware_pricing_overhead(run_once):
     print_table(
         f"CIMCore 64x32, {reps}x vmm_batch(256) per mode (min of 3)", rows
     )
-    record_energy_metrics(
+    record(
+        "BENCH_energy.json",
         "pricing_overhead",
         {
             "rows": 64,
@@ -159,7 +160,8 @@ def test_pareto_dse_worker_invariant(run_once):
         ],
     )
     n_points = len(serial)
-    record_energy_metrics(
+    record(
+        "BENCH_energy.json",
         "pareto_determinism",
         {
             "grid_points": n_points,

@@ -12,7 +12,7 @@ layer by layer.  Gates:
 * the DSE grid is bit-identical between serial and 2-worker runs.
 
 Metrics land in ``BENCH_pipeline.json`` via
-:func:`conftest.record_pipeline_metrics` so the speedup trajectory is
+:func:`conftest.record` so the speedup trajectory is
 tracked across PRs.
 """
 
@@ -20,7 +20,7 @@ import time
 
 import numpy as np
 
-from conftest import print_table, record_pipeline_metrics
+from conftest import print_table, record
 
 PIPELINE_SPEEDUP_GATE = 2.0
 
@@ -80,7 +80,8 @@ def test_pipelined_vs_sequential_throughput(run_once):
         f"4-layer MLP on 4 tiles, batch {batch} (micro-batch {micro_batch})",
         rows,
     )
-    record_pipeline_metrics(
+    record(
+        "BENCH_pipeline.json",
         "pipelined_vs_sequential",
         {
             "batch": batch,
@@ -140,7 +141,8 @@ def test_duplication_curve_shape(run_once):
         ],
     )
     throughputs = [r["throughput"] for r in rows]
-    record_pipeline_metrics(
+    record(
+        "BENCH_pipeline.json",
         "duplication_curve",
         {
             "tiles": [r["tiles"] for r in rows],
@@ -192,7 +194,8 @@ def test_exploration_grid_deterministic(run_once):
             },
         ],
     )
-    record_pipeline_metrics(
+    record(
+        "BENCH_pipeline.json",
         "exploration_determinism",
         {
             "grid_points": n_points,

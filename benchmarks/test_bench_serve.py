@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.serve import ServiceConfig, SimulationService
 
-from conftest import print_table, record_serve_metrics
+from conftest import print_table, record
 
 # IR-drop-aware deployment: wire_resistance > 0 routes tile VMMs through
 # the LU path, whose batched execution is row-independent (bit-identical
@@ -122,7 +122,8 @@ def test_coalesced_inference_at_least_2x(run_once):
             }
         ],
     )
-    record_serve_metrics(
+    record(
+        "BENCH_serve.json",
         "coalesced_inference",
         {
             "concurrent_requests": _N_CONCURRENT,
@@ -162,7 +163,8 @@ def test_results_cache_at_least_20x(run_once):
             }
         ],
     )
-    record_serve_metrics(
+    record(
+        "BENCH_serve.json",
         "results_cache",
         {
             "sweep_points": len(_SWEEP["yields"]),

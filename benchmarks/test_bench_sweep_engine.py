@@ -5,7 +5,7 @@ scalar, chunked-vectorized, and process-parallel — on the two hottest
 consumers (ECC failure-rate Monte Carlo and the accuracy-vs-yield grid),
 gates the speedup at >= 3x, and proves identical-seed runs are
 bit-identical at any worker count.  Results are also written to
-``BENCH_sweep.json`` (via :func:`conftest.record_sweep_metrics`) so the
+``BENCH_sweep.json`` (via :func:`conftest.record`) so the
 perf trajectory is tracked across PRs.
 
 Parallel-scaling gates (multi-core hosts only; single-core runners
@@ -26,7 +26,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import print_table, record_sweep_metrics
+from conftest import print_table, record
 
 SPEEDUP_GATE = 3.0
 #: Engine scaling on a CPU-bound synthetic grid, 2 workers on >= 2 cores.
@@ -81,7 +81,8 @@ def test_engine_parallel_scaling(run_once):
             {"backend": "speedup", "seconds": speedup},
         ],
     )
-    record_sweep_metrics(
+    record(
+        "BENCH_sweep.json",
         "engine_scaling",
         {
             "grid_jobs": 16,
@@ -157,7 +158,8 @@ def test_ecc_monte_carlo_backends(run_once):
         },
     ]
     print_table("ECC Monte Carlo backends (72,64 SEC-DED)", rows)
-    record_sweep_metrics(
+    record(
+        "BENCH_sweep.json",
         "ecc_monte_carlo",
         {
             "trials": trials,
@@ -223,7 +225,8 @@ def test_yield_sweep_backends(run_once):
             },
         ],
     )
-    record_sweep_metrics(
+    record(
+        "BENCH_sweep.json",
         "accuracy_vs_yield",
         {
             "grid_jobs": n_jobs,
@@ -325,7 +328,8 @@ def test_device_hot_kernels(run_once):
          "scalar_s": t_ws, "fast_s": t_wf, "speedup": t_ws / t_wf},
     ]
     print_table("device hot kernels: fast vs scalar reference", rows)
-    record_sweep_metrics(
+    record(
+        "BENCH_sweep.json",
         "device_kernels",
         {
             "speedup_memristor_sweep": t_ss / t_sf,
@@ -364,7 +368,8 @@ def test_bnn_engine_vectorized(run_once):
             {"path": "speedup", "seconds": t_cells / t_vec},
         ],
     )
-    record_sweep_metrics(
+    record(
+        "BENCH_sweep.json",
         "bnn_xnor_popcount", {"speedup_vectorized": t_cells / t_vec}
     )
     assert not mismatch

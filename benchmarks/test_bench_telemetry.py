@@ -17,7 +17,7 @@ from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.periphery.area_power import fig5_instrumented_report
 from repro.utils import telemetry
 
-from conftest import print_table, record_telemetry_metrics
+from conftest import print_table, record
 
 _ROWS, _COLS, _BATCH = 128, 32, 64
 _ROUNDS = 12
@@ -74,7 +74,8 @@ def test_instrumentation_overhead_under_5_percent(run_once):
             }
         ],
     )
-    record_telemetry_metrics(
+    record(
+        "BENCH_telemetry.json",
         "vmm_batch_overhead",
         {
             "rows": _ROWS,
@@ -107,7 +108,8 @@ def test_instrumented_fig5_report(run_once):
             {"claim": "ADC power share > 65%", "measured": ef["adc"]},
         ],
     )
-    record_telemetry_metrics(
+    record(
+        "BENCH_telemetry.json",
         "fig5_instrumented",
         {
             "adc_energy_share": ef["adc"],

@@ -6,7 +6,7 @@ sequential schedule by ``>= ATTENTION_SPEEDUP_GATE`` while staying
 bit-identical), and the vectorized outer-product gradient must beat the
 scalar reference loop (``>= OUTER_PRODUCT_SPEEDUP_GATE``) with the same
 bits.  Writes the numbers to ``BENCH_workloads.json`` (via
-:func:`conftest.record_workloads_metrics`) so the workload-throughput
+:func:`conftest.record`) so the workload-throughput
 trajectory is tracked across PRs.
 """
 
@@ -14,7 +14,7 @@ import time
 
 import numpy as np
 
-from conftest import print_table, record_workloads_metrics
+from conftest import print_table, record
 
 #: A 5-stage fork-join graph on a 4-deep micro-batch stream must overlap
 #: stages; anything under 1.5x means the DAG scheduler serialized it.
@@ -61,7 +61,8 @@ def test_attention_pipeline_speedup(run_once):
         f"pipeline speedup: {row['speedup']:.2f}x "
         f"(gate {ATTENTION_SPEEDUP_GATE}x); bit-identical: True"
     )
-    record_workloads_metrics(
+    record(
+        "BENCH_workloads.json",
         "attention_pipeline",
         {
             "seq": params.seq,
@@ -106,7 +107,8 @@ def test_outer_product_fast_path_beats_scalar(run_once):
         f"outer-product speedup: {speedup:.1f}x "
         f"(gate {OUTER_PRODUCT_SPEEDUP_GATE}x); bit-identical: True"
     )
-    record_workloads_metrics(
+    record(
+        "BENCH_workloads.json",
         "outer_product_update",
         {
             "batch": 512,
@@ -154,7 +156,8 @@ def test_insitu_training_backends_bit_identical(run_once):
         f"dead cells {fast['dead_cells']}, "
         f"write energy {fast['write_energy_j']:.3e} J"
     )
-    record_workloads_metrics(
+    record(
+        "BENCH_workloads.json",
         "insitu_training",
         {
             "epochs": params.epochs,

@@ -5,7 +5,10 @@ Starts a real ``cimflow serve`` process on an ephemeral port, submits an
 inference request and a yield sweep over the socket, then re-submits the
 identical sweep and asserts the second response is a results-cache hit
 that is bit-identical to the cold one — the serving layer's core
-contract, exercised through the same process boundary users cross.
+contract, exercised through the same process boundary users cross.  A
+request that fails must come back as a structured ``bad_request`` and be
+counted in ``stats``: every admitted request is completed, rejected,
+failed or in flight.
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -93,10 +96,26 @@ def main():
                     fail(f"warm sweep {field} differs from cold response")
             print("serve_smoke: warm sweep is a bit-identical cache hit")
 
+            bad = client.request("sweep", {**SWEEP, "trials": 0})
+            if bad.get("ok") or bad["error"]["code"] != "bad_request":
+                fail(f"invalid sweep should be a bad_request, got {bad}")
+            print("serve_smoke: invalid sweep is a structured bad_request")
+
             stats = client.request("stats")
-            cache = stats["result"]["results_cache"]
+            result = stats["result"]
+            cache = result["results_cache"]
             if cache["request_hits"] < 1:
                 fail(f"stats report no results-cache hits: {cache}")
+            accounted = (
+                result["requests_completed"]
+                + result["requests_rejected"]
+                + sum(result["requests_failed"].values())
+                + result["inflight"]
+            )
+            if result["requests_failed"] != {"bad_request": 1} or (
+                accounted != result["requests_total"]
+            ):
+                fail(f"stats do not account for every request: {result}")
             print(f"serve_smoke: PASS (results cache: {cache})")
     finally:
         proc.terminate()

@@ -20,7 +20,10 @@ from __future__ import annotations
 
 import argparse
 import sys
-from typing import Dict, List, Optional, Sequence
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+
+from repro.jobs import JOBS, REQUEST_KINDS
+from repro.utils import telemetry
 
 
 def _print_table(title: str, rows: List[Dict], columns=None) -> None:
@@ -291,24 +294,69 @@ def cmd_report(args) -> int:
     return 0
 
 
+def _split(text: str, cast: Callable[[str], Any] = str) -> List[Any]:
+    """The items of a comma-separated flag value."""
+    return [cast(s.strip()) for s in text.split(",") if s.strip()]
+
+
+def _csv(values: Sequence[Any]) -> str:
+    """A job's list default as the flag value that parses back to it."""
+    return ",".join(str(v) for v in values)
+
+
+#: Job-backed subcommands: command -> (job kind, {job param: flag} where
+#: the names differ).  Every job param that has a flag of its own name
+#: takes the flag's value; a comma-separated flag (or a single value)
+#: fills a list param.
+_JOB_COMMANDS: Dict[str, Tuple[str, Dict[str, str]]] = {
+    "pipeline": ("dse", {"tile_counts": "tiles", "batch_sizes": "batch"}),
+    "ecc-advisor": ("ecc", {}),
+    "attention": ("attention", {"n_tiles": "tiles"}),
+    "train": ("train", {}),
+}
+
+
+def job_config(args: argparse.Namespace) -> Tuple[str, Dict[str, Any]]:
+    """``(job kind, config)`` of a job-backed subcommand: the job's
+    defaults, overridden by the parsed flags."""
+    kind, flags = _JOB_COMMANDS[args.command]
+    cfg = dict(JOBS[kind].defaults)
+    for param, default in cfg.items():
+        value = getattr(args, flags.get(param, param), None)
+        if value is None or value == "":
+            continue
+        if isinstance(default, list):
+            value = (
+                _split(value, type(default[0]))
+                if isinstance(value, str)
+                else [value]
+            )
+        cfg[param] = value
+    return kind, cfg
+
+
+def _run_job(args: argparse.Namespace) -> Any:
+    """Run a job-backed subcommand's job and return its result."""
+    kind, cfg = job_config(args)
+    result, report = JOBS[kind].run(cfg, workers=args.workers)
+    # The job captured its costs in a telemetry scope of its own; charge
+    # them to the caller's scope too, so anything scoping a ``cimflow``
+    # run (a profiler, a benchmark) still sees the job's counters.
+    caller = telemetry.current()
+    for category, cost in report.categories.items():
+        caller.charge(
+            category, cost["energy"], cost["latency"], cost["data_moved"]
+        )
+    for name, value in report.counters.items():
+        caller.incr(name, value)
+    return result
+
+
 def cmd_pipeline(args) -> int:
     import json as _json
 
-    from repro.costs import use_model
-    from repro.pipeline import explore_pipeline, pareto_analysis
-
-    tiles = [int(t) for t in args.tiles.split(",") if t.strip()]
-    adc_bits = [int(b) for b in args.adc_bits.split(",") if b.strip()]
-    with use_model(args.energy_model):
-        rows = explore_pipeline(
-            tile_counts=tiles,
-            batch_sizes=(args.batch,),
-            adc_bits=adc_bits,
-            workload=args.workload,
-            micro_batch=args.micro_batch,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    result = _run_job(args)
+    rows = result["rows"]
 
     def _display(row_set):
         return [
@@ -350,13 +398,12 @@ def cmd_pipeline(args) -> int:
         )
     analysis = None
     if args.objectives:
-        names = [s.strip() for s in args.objectives.split(",") if s.strip()]
-        analysis = pareto_analysis(rows, names)
+        analysis = result["pareto"]
         front_display = _display(analysis["front"])
         for shown, row in zip(front_display, analysis["front"]):
             shown["knee"] = row["knee"]
         _print_table(
-            f"Pareto front over {', '.join(names)} "
+            f"Pareto front over {', '.join(analysis['objectives'])} "
             f"({len(analysis['front'])} of "
             f"{analysis['feasible_points']} feasible points)",
             front_display,
@@ -392,26 +439,13 @@ def cmd_pipeline(args) -> int:
 def cmd_ecc_advisor(args) -> int:
     import json as _json
 
-    from repro.costs import use_model
-    from repro.testing.ecc_advisor import advise_ecc, ecc_advisor_analysis
-
-    codes = [c.strip() for c in args.codes.split(",") if c.strip()]
-    yields = [float(y) for y in args.yields.split(",") if y.strip()]
     try:
-        with use_model(args.energy_model):
-            rows = advise_ecc(
-                codes=codes,
-                yields=yields,
-                data_bits=args.data_bits,
-                mc_words=args.mc_words,
-                trials=args.trials,
-                seed=args.seed,
-                workers=args.workers,
-            )
+        result = _run_job(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    analysis = ecc_advisor_analysis(rows)
+    rows, analysis = result["rows"], result["advice"]
+    n_codes, n_yields = len(_split(args.codes)), len(_split(args.yields))
 
     def _display(row_set):
         return [
@@ -430,7 +464,7 @@ def cmd_ecc_advisor(args) -> int:
         ]
 
     _print_table(
-        f"ECC co-design sweep: {len(codes)} codes x {len(yields)} yields x "
+        f"ECC co-design sweep: {n_codes} codes x {n_yields} yields x "
         f"workload scenarios ({args.energy_model} energy model, "
         f"{args.mc_words} MC words/trial)",
         _display(rows),
@@ -479,25 +513,7 @@ def cmd_ecc_advisor(args) -> int:
 def cmd_attention(args) -> int:
     import json as _json
 
-    from repro.costs import use_model
-    from repro.workloads import explore_attention
-
-    seqs = [int(s) for s in args.seqs.split(",") if s.strip()]
-    d_heads = [int(d) for d in args.d_heads.split(",") if d.strip()]
-    micro_batches = [
-        int(m) for m in args.micro_batches.split(",") if m.strip()
-    ]
-    with use_model(args.energy_model):
-        rows = explore_attention(
-            seqs=seqs,
-            d_heads=d_heads,
-            micro_batches=micro_batches,
-            d_model=args.d_model,
-            batch=args.batch,
-            n_tiles=args.tiles,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    rows = _run_job(args)["rows"]
     _print_table(
         f"Attention fork-join DSE (d_model {args.d_model}, batch "
         f"{args.batch}, {args.tiles} tiles, {args.energy_model} energy "
@@ -539,21 +555,7 @@ def cmd_attention(args) -> int:
 def cmd_train(args) -> int:
     import json as _json
 
-    from repro.costs import use_model
-    from repro.workloads import explore_training
-
-    lives = [float(v) for v in args.lives.split(",") if v.strip()]
-    drift_nus = [float(v) for v in args.drift_nus.split(",") if v.strip()]
-    with use_model(args.energy_model):
-        rows = explore_training(
-            lives=lives,
-            drift_nus=drift_nus,
-            epochs=args.epochs,
-            write_sigma=args.write_sigma,
-            backend=args.backend,
-            seed=args.seed,
-            workers=args.workers,
-        )
+    rows = _run_job(args)["rows"]
     _print_table(
         f"In-situ training: endurance life x drift over {args.epochs} "
         f"epochs ({args.backend} update backend, {args.energy_model} "
@@ -766,6 +768,10 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
 
+    # Job-backed subcommands take their flag defaults from the job (the
+    # same values the server fills a request with).  `pipeline` keeps its
+    # own wider --tiles and larger --batch than the served `dse` job.
+    dse = JOBS["dse"].defaults
     pipe = sub.add_parser(
         "pipeline", help="pipelined multi-tile DSE: throughput vs tiles"
     )
@@ -775,16 +781,16 @@ def build_parser() -> argparse.ArgumentParser:
         help="comma-separated tile inventories to sweep",
     )
     pipe.add_argument("--batch", type=int, default=64)
-    pipe.add_argument("--micro-batch", type=int, default=8)
+    pipe.add_argument("--micro-batch", type=int, default=dse["micro_batch"])
     pipe.add_argument(
         "--adc-bits",
-        default="8",
-        help="comma-separated ADC resolutions to sweep (default 8)",
+        default=_csv(dse["adc_bits"]),
+        help="comma-separated ADC resolutions to sweep (default %(default)s)",
     )
     pipe.add_argument(
         "--workload",
         choices=("cnn", "mlp"),
-        default="cnn",
+        default=dse["workload"],
         help="reference model (cnn = conv-bottlenecked, default)",
     )
     pipe.add_argument(
@@ -806,33 +812,34 @@ def build_parser() -> argparse.ArgumentParser:
         "ecc-advisor",
         help="ECC co-design: Pareto-select a code per yield/workload",
     )
+    ecc_defaults = JOBS["ecc"].defaults
     ecc.add_argument(
         "--codes",
-        default="secded,bch,secdaec",
+        default=_csv(ecc_defaults["codes"]),
         help="comma-separated ECC codes to sweep (default all registered)",
     )
     ecc.add_argument(
         "--yields",
-        default="0.9999,0.999,0.99,0.97",
+        default=_csv(ecc_defaults["yields"]),
         help="comma-separated crossbar cell yields to sweep",
     )
     ecc.add_argument(
         "--data-bits",
         type=int,
-        default=32,
-        help="protected word width (default 32)",
+        default=ecc_defaults["data_bits"],
+        help="protected word width (default %(default)s)",
     )
     ecc.add_argument(
         "--mc-words",
         type=int,
-        default=4096,
-        help="Monte Carlo words per trial (default 4096)",
+        default=ecc_defaults["mc_words"],
+        help="Monte Carlo words per trial (default %(default)s)",
     )
     ecc.add_argument(
         "--trials",
         type=int,
-        default=2,
-        help="independent trials per grid point (default 2)",
+        default=ecc_defaults["trials"],
+        help="independent trials per grid point (default %(default)s)",
     )
     ecc.add_argument(
         "--json",
@@ -846,25 +853,29 @@ def build_parser() -> argparse.ArgumentParser:
         "attention",
         help="fork-join attention block DSE through the pipeline IR",
     )
+    att_defaults = JOBS["attention"].defaults
     att.add_argument(
         "--seqs",
-        default="4,8",
-        help="comma-separated sequence lengths to sweep (default 4,8)",
+        default=_csv(att_defaults["seqs"]),
+        help="comma-separated sequence lengths to sweep (default %(default)s)",
     )
     att.add_argument(
         "--d-heads",
-        default="4,8",
-        help="comma-separated head widths to sweep (default 4,8)",
+        default=_csv(att_defaults["d_heads"]),
+        help="comma-separated head widths to sweep (default %(default)s)",
     )
     att.add_argument(
         "--micro-batches",
-        default="4",
-        help="comma-separated micro-batch sizes to sweep (default 4)",
+        default=_csv(att_defaults["micro_batches"]),
+        help="comma-separated micro-batch sizes to sweep (default %(default)s)",
     )
-    att.add_argument("--d-model", type=int, default=16)
-    att.add_argument("--batch", type=int, default=16)
+    att.add_argument("--d-model", type=int, default=att_defaults["d_model"])
+    att.add_argument("--batch", type=int, default=att_defaults["batch"])
     att.add_argument(
-        "--tiles", type=int, default=16, help="tile inventory (default 16)"
+        "--tiles",
+        type=int,
+        default=att_defaults["n_tiles"],
+        help="tile inventory (default %(default)s)",
     )
     att.add_argument(
         "--json", default=None, help="also write the rows as JSON to this path"
@@ -876,31 +887,32 @@ def build_parser() -> argparse.ArgumentParser:
         "train",
         help="in-situ training: accuracy vs epochs under endurance/drift",
     )
+    train_defaults = JOBS["train"].defaults
     train.add_argument(
         "--lives",
-        default="8,12,1e6",
+        default=_csv(train_defaults["lives"]),
         help=(
             "comma-separated Weibull characteristic lives in writes "
-            "(default 8,12,1e6)"
+            "(default %(default)s)"
         ),
     )
     train.add_argument(
         "--drift-nus",
-        default="0.0,0.01",
-        help="comma-separated drift exponents to sweep (default 0.0,0.01)",
+        default=_csv(train_defaults["drift_nus"]),
+        help="comma-separated drift exponents to sweep (default %(default)s)",
     )
-    train.add_argument("--epochs", type=int, default=5)
+    train.add_argument("--epochs", type=int, default=train_defaults["epochs"])
     train.add_argument(
         "--write-sigma",
         type=float,
-        default=0.05,
-        help="lognormal programming-noise sigma (default 0.05)",
+        default=train_defaults["write_sigma"],
+        help="lognormal programming-noise sigma (default %(default)s)",
     )
     train.add_argument(
         "--backend",
         choices=("auto", "fast", "scalar"),
-        default="auto",
-        help="outer-product/write-verify backend (default auto = fast)",
+        default=train_defaults["backend"],
+        help="outer-product/write-verify backend (default %(default)s = fast)",
     )
     train.add_argument(
         "--json", default=None, help="also write the rows as JSON to this path"
@@ -935,14 +947,7 @@ def build_parser() -> argparse.ArgumentParser:
     submit = sub.add_parser(
         "submit", help="submit one request to a running cimflow serve"
     )
-    submit.add_argument(
-        "kind",
-        choices=(
-            "infer", "sweep", "dse", "pipeline", "faults", "ecc",
-            "attention", "train", "stats",
-        ),
-        help="request kind",
-    )
+    submit.add_argument("kind", choices=REQUEST_KINDS, help="request kind")
     submit.add_argument(
         "--params",
         default=None,

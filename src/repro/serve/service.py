@@ -16,8 +16,9 @@ Request lifecycle::
         ├── infer ──► artifact cache (deployed model, carries its tiles'
         │             LU caches) ──► request batcher (coalesced
         │             forward_batch, per-request demux)
-        └── sweep / dse / pipeline ──► serialized compute (one heavy job
-                      at a time, off the event loop thread)
+        └── sweep / dse / pipeline / ecc / attention / train ──►
+                      serialized compute (one heavy job at a time, off the
+                      event loop thread) through :data:`repro.jobs.JOBS`
 
 Every completed request carries a conservation-validated
 :class:`~repro.utils.telemetry.RunReport`; reports of *computed* requests
@@ -32,10 +33,11 @@ from __future__ import annotations
 
 import asyncio
 from dataclasses import dataclass
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
+from repro.jobs import JOBS, REQUEST_KINDS
 from repro.serve.batcher import RequestBatcher
 from repro.serve.cache import ArtifactCache, ResultsCache, config_fingerprint
 from repro.utils import telemetry
@@ -49,12 +51,6 @@ __all__ = [
     "SimulationService",
     "REQUEST_KINDS",
 ]
-
-#: Request kinds the service accepts.
-REQUEST_KINDS = (
-    "infer", "sweep", "dse", "pipeline", "faults", "ecc",
-    "attention", "train", "stats",
-)
 
 
 class ServeError(RuntimeError):
@@ -121,82 +117,6 @@ MODEL_DEFAULTS: Dict[str, Any] = {
     "wire_resistance": 0.0,
 }
 
-SWEEP_DEFAULTS: Dict[str, Any] = {
-    "yields": [1.0, 0.9, 0.8],
-    "trials": 2,
-    "n_samples": 240,
-    "n_features": 16,
-    "n_classes": 6,
-    "hidden": 12,
-    "separation": 1.5,
-    "epochs": 30,
-    "seed": 0,
-    "energy_model": "static",
-}
-
-DSE_DEFAULTS: Dict[str, Any] = {
-    "tile_counts": [4, 8, 16],
-    "duplication_modes": ["none", "auto"],
-    "batch_sizes": [32],
-    "adc_bits": [8],
-    "workload": "cnn",
-    "micro_batch": 8,
-    "model_seed": 1234,
-    "seed": 0,
-    "objectives": ["accuracy", "energy", "area", "throughput"],
-    "energy_model": "static",
-}
-
-PIPELINE_DEFAULTS: Dict[str, Any] = {
-    "workload": "cnn",
-    "tiles": 16,
-    "duplication": "auto",
-    "batch": 32,
-    "micro_batch": 8,
-    "model_seed": 1234,
-    "seed": 0,
-    "energy_model": "static",
-}
-
-ECC_DEFAULTS: Dict[str, Any] = {
-    "codes": ["secded", "bch", "secdaec"],
-    "yields": [0.9999, 0.999, 0.99, 0.97],
-    "scenarios": [],                # [] -> all registered scenarios
-    "data_bits": 32,
-    "mc_words": 4096,
-    "words_per_array": 1024,
-    "trials": 2,
-    "seed": 0,
-    "energy_model": "static",
-}
-
-
-ATTENTION_DEFAULTS: Dict[str, Any] = {
-    "seqs": [4, 8],
-    "d_heads": [4, 8],
-    "micro_batches": [4],
-    "d_model": 16,
-    "batch": 16,
-    "n_tiles": 16,
-    "model_seed": 2024,
-    "trials": 1,
-    "seed": 0,
-    "energy_model": "static",
-}
-
-TRAIN_DEFAULTS: Dict[str, Any] = {
-    "lives": [8.0, 12.0, 1e6],
-    "drift_nus": [0.0, 0.01],
-    "epochs": 5,
-    "n_features": 16,
-    "n_classes": 4,
-    "write_sigma": 0.05,
-    "backend": "auto",
-    "trials": 1,
-    "seed": 0,
-    "energy_model": "static",
-}
-
 
 def _energy_spec(value: Any):
     """Parse a request's energy-model choice; canonicalized through
@@ -260,6 +180,7 @@ class SimulationService:
         self.requests_total = 0
         self.requests_completed = 0
         self.requests_rejected = 0
+        self.requests_failed: Dict[str, int] = {}     # error code -> count
         self.requests_by_kind: Dict[str, int] = {}
         self.results_hits = 0
         self.results_misses = 0
@@ -307,13 +228,18 @@ class SimulationService:
             raise BadRequestError("params must be a JSON object")
         self._admit(kind)
         try:
-            handler = getattr(self, f"_handle_{kind}")
-            response = await handler(params)
+            if kind in JOBS:
+                response = await self._run_job(kind, params)
+            else:
+                response = await getattr(self, f"_handle_{kind}")(params)
+        except Exception as exc:
+            # Same codes the socket server sends back for this exception.
+            code = exc.code if isinstance(exc, ServeError) else "internal"
+            self.requests_failed[code] = self.requests_failed.get(code, 0) + 1
+            raise
         finally:
             self._inflight -= 1
         self.requests_completed += 1
-        response.setdefault("ok", True)
-        response.setdefault("kind", kind)
         return response
 
     # ------------------------------------------------------- result caching
@@ -343,23 +269,42 @@ class SimulationService:
         payload = {"result": result, "report": report.to_dict()}
         if cache:
             payload = self.results.put(key, payload, tags=tags)
+        return self._response(kind, "miss" if cache else "none", payload)
+
+    @staticmethod
+    def _response(kind: str, cache: str, payload: Dict[str, Any]) -> Dict[str, Any]:
         return {
             "ok": True,
             "kind": kind,
-            "cache": "miss" if cache else "none",
+            "cache": cache,
             "result": payload["result"],
             "report": payload["report"],
         }
 
-    @staticmethod
-    def _hit_response(kind: str, payload: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            "ok": True,
-            "kind": kind,
-            "cache": "hit",
-            "result": payload["result"],
-            "report": payload["report"],
-        }
+    # ------------------------------------------------------------ kind:jobs
+    async def _run_job(self, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
+        """Serve one :data:`~repro.jobs.JOBS` kind: normalize, look up the
+        results cache, else run the job under the compute lock off the
+        event loop thread.  A ``ValueError`` from the job's inputs is the
+        client's fault: it becomes a ``bad_request``."""
+        job = JOBS[kind]
+        params = dict(params)
+        uncached = {name: params.pop(name) for name in job.uncached if name in params}
+        cfg = _normalize(params, job.defaults, kind)
+        cfg["energy_model"] = _energy_spec(cfg["energy_model"]).to_dict()
+        try:
+            if job.check is not None:
+                job.check(cfg)
+            key, hit = self._cached(kind, cfg)
+            if hit is not None:
+                return self._response(kind, "hit", hit)
+            async with self._compute_lock:
+                result, report = await asyncio.to_thread(
+                    job.run, cfg, artifacts=self.artifacts, **uncached
+                )
+        except ValueError as exc:
+            raise BadRequestError(f"bad {kind} request: {exc}") from None
+        return self._finish(kind, key, result, report)
 
     # ------------------------------------------------------ model artifacts
     @staticmethod
@@ -460,7 +405,7 @@ class SimulationService:
         }
         key, hit = self._cached("infer", request_cfg)
         if hit is not None and not noisy:
-            return self._hit_response("infer", hit)
+            return self._response("infer", "hit", hit)
 
         deployed = artifact.deployed
 
@@ -489,170 +434,6 @@ class SimulationService:
         return self._finish(
             "infer", key, result, report, tags=(fp,), cache=not noisy
         )
-
-    # ----------------------------------------------------------- kind:sweep
-    async def _handle_sweep(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, SWEEP_DEFAULTS, "sweep")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        # ``workers`` never changes results (the sweep engine is
-        # bit-identical at any worker count), so it stays out of the key.
-        key, hit = self._cached("sweep", cfg)
-        if hit is not None:
-            return self._hit_response("sweep", hit)
-
-        def _run() -> Tuple[List[Dict], RunReport]:
-            from repro.apps.nn import accuracy_vs_yield
-            from repro.costs.models import use_model
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows, grid_report = accuracy_vs_yield(
-                    yields=tuple(cfg["yields"]),
-                    n_samples=int(cfg["n_samples"]),
-                    n_features=int(cfg["n_features"]),
-                    n_classes=int(cfg["n_classes"]),
-                    hidden=int(cfg["hidden"]),
-                    separation=float(cfg["separation"]),
-                    trials=int(cfg["trials"]),
-                    rng=int(cfg["seed"]),
-                    epochs=int(cfg["epochs"]),
-                    workers=workers,
-                    with_report=True,
-                )
-            # Training/clean-deployment costs land on the outer scope;
-            # per-job costs are only in the grid report.  Merge both.
-            outer = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="sweep",
-            )
-            return rows, outer.merge(grid_report)
-
-        async with self._compute_lock:
-            rows, report = await asyncio.to_thread(_run)
-        report.label = "sweep"
-        return self._finish("sweep", key, {"rows": rows}, report)
-
-    # ------------------------------------------------------------- kind:dse
-    async def _handle_dse(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, DSE_DEFAULTS, "dse")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        objectives = [str(o) for o in cfg["objectives"]]
-        from repro.costs.pareto import resolve_objectives
-
-        try:
-            resolve_objectives(objectives)
-        except ValueError as exc:
-            raise BadRequestError(f"bad dse objectives: {exc}") from None
-        key, hit = self._cached("dse", cfg)
-        if hit is not None:
-            return self._hit_response("dse", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.pipeline import explore_pipeline, pareto_analysis
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows = explore_pipeline(
-                    tile_counts=[int(t) for t in cfg["tile_counts"]],
-                    duplication_modes=[str(d) for d in cfg["duplication_modes"]],
-                    batch_sizes=[int(b) for b in cfg["batch_sizes"]],
-                    adc_bits=[int(a) for a in cfg["adc_bits"]],
-                    workload=str(cfg["workload"]),
-                    micro_batch=int(cfg["micro_batch"]),
-                    model_seed=int(cfg["model_seed"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                )
-            pareto = pareto_analysis(rows, objectives)
-            report = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"], label="dse"
-            )
-            return {"rows": rows, "pareto": pareto}, report
-
-        async with self._compute_lock:
-            result, report = await asyncio.to_thread(_run)
-        return self._finish("dse", key, result, report)
-
-    # -------------------------------------------------------- kind:pipeline
-    async def _handle_pipeline(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        cfg = _normalize(params, PIPELINE_DEFAULTS, "pipeline")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        key, hit = self._cached("pipeline", cfg)
-        if hit is not None:
-            return self._hit_response("pipeline", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.pipeline import (
-                PipelineScheduler,
-                ScheduleParams,
-                TileInventory,
-                allocate,
-            )
-            from repro.pipeline.explore import (
-                reference_conv_graph,
-                reference_graph,
-            )
-
-            workload = str(cfg["workload"])
-            model_seed = int(cfg["model_seed"])
-            graph, graph_hit = self.artifacts.get_or_create(
-                ("graph", workload, model_seed),
-                lambda: (
-                    reference_conv_graph(model_seed)
-                    if workload == "cnn"
-                    else reference_graph(model_seed=model_seed)
-                ),
-            )
-            alloc, alloc_hit = self.artifacts.get_or_create(
-                (
-                    "alloc",
-                    workload,
-                    model_seed,
-                    int(cfg["tiles"]),
-                    str(cfg["duplication"]),
-                    int(cfg["seed"]),
-                ),
-                lambda: allocate(
-                    graph,
-                    TileInventory(n_tiles=int(cfg["tiles"])),
-                    duplication=str(cfg["duplication"]),
-                    rng=int(cfg["seed"]),
-                ),
-            )
-            input_rng = np.random.default_rng(model_seed + 1)
-            if graph.input_is_image:
-                edge = graph.nodes[0].image_size
-                x = input_rng.uniform(
-                    0.0, 1.0, size=(int(cfg["batch"]), edge, edge)
-                )
-            else:
-                x = input_rng.uniform(
-                    0.0, 1.0, size=(int(cfg["batch"]), graph.in_features)
-                )
-            sched = PipelineScheduler(
-                alloc, ScheduleParams(micro_batch=int(cfg["micro_batch"]))
-            )
-            with use_model(spec):
-                run = sched.run(x, mode="pipelined", noisy=False)
-            result = {
-                "stage_table": run.stage_table(),
-                "throughput": run.throughput,
-                "utilization": run.utilization(),
-                "makespan_s": run.makespan,
-                "artifact_hits": {"graph": graph_hit, "alloc": alloc_hit},
-            }
-            return result, run.report("pipeline")
-
-        async with self._compute_lock:
-            result, report = await asyncio.to_thread(_run)
-        return self._finish("pipeline", key, result, report)
 
     # ---------------------------------------------------------- kind:faults
     async def _handle_faults(self, params: Dict[str, Any]) -> Dict[str, Any]:
@@ -695,141 +476,6 @@ class SimulationService:
             "faults", None, result, report, cache=False
         )
 
-    # ------------------------------------------------------------- kind:ecc
-    async def _handle_ecc(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, ECC_DEFAULTS, "ecc")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        # ``workers`` never changes results (the advisor rides the
-        # bit-identical sweep engine), so it stays out of the key; the
-        # energy-model spec *is* in it, so static and value-aware advisor
-        # runs can never share a warm hit.
-        key, hit = self._cached("ecc", cfg)
-        if hit is not None:
-            return self._hit_response("ecc", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.testing.ecc_advisor import (
-                advise_ecc,
-                ecc_advisor_analysis,
-            )
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows, grid_report = advise_ecc(
-                    codes=[str(c) for c in cfg["codes"]],
-                    yields=[float(y) for y in cfg["yields"]],
-                    scenarios=[str(s) for s in cfg["scenarios"]] or None,
-                    data_bits=int(cfg["data_bits"]),
-                    mc_words=int(cfg["mc_words"]),
-                    words_per_array=int(cfg["words_per_array"]),
-                    trials=int(cfg["trials"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                    with_report=True,
-                )
-            advice = ecc_advisor_analysis(rows)
-            outer = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="ecc",
-            )
-            return {"rows": rows, "advice": advice}, outer.merge(grid_report)
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad ecc request: {exc}") from None
-        report.label = "ecc"
-        return self._finish("ecc", key, result, report)
-
-    # ------------------------------------------------------- kind:attention
-    async def _handle_attention(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, ATTENTION_DEFAULTS, "attention")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        # ``workers`` stays out of the key (bit-identical engine); the
-        # energy-model spec is *in* it, so static and value-aware runs of
-        # the same geometry can never share a warm hit.
-        key, hit = self._cached("attention", cfg)
-        if hit is not None:
-            return self._hit_response("attention", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.workloads import explore_attention
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows = explore_attention(
-                    seqs=[int(s) for s in cfg["seqs"]],
-                    d_heads=[int(d) for d in cfg["d_heads"]],
-                    micro_batches=[int(m) for m in cfg["micro_batches"]],
-                    d_model=int(cfg["d_model"]),
-                    batch=int(cfg["batch"]),
-                    n_tiles=int(cfg["n_tiles"]),
-                    model_seed=int(cfg["model_seed"]),
-                    trials=int(cfg["trials"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                )
-            report = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="attention",
-            )
-            return {"rows": rows}, report
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad attention request: {exc}") from None
-        return self._finish("attention", key, result, report)
-
-    # ----------------------------------------------------------- kind:train
-    async def _handle_train(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        workers = params.pop("workers", 0)
-        cfg = _normalize(params, TRAIN_DEFAULTS, "train")
-        spec = _energy_spec(cfg["energy_model"])
-        cfg["energy_model"] = spec.to_dict()
-        key, hit = self._cached("train", cfg)
-        if hit is not None:
-            return self._hit_response("train", hit)
-
-        def _run() -> Tuple[Dict[str, Any], RunReport]:
-            from repro.costs.models import use_model
-            from repro.workloads import explore_training
-
-            with use_model(spec), telemetry.scoped() as scope:
-                rows = explore_training(
-                    lives=[float(v) for v in cfg["lives"]],
-                    drift_nus=[float(v) for v in cfg["drift_nus"]],
-                    epochs=int(cfg["epochs"]),
-                    n_features=int(cfg["n_features"]),
-                    n_classes=int(cfg["n_classes"]),
-                    write_sigma=float(cfg["write_sigma"]),
-                    backend=str(cfg["backend"]),
-                    trials=int(cfg["trials"]),
-                    seed=int(cfg["seed"]),
-                    workers=workers,
-                )
-            report = RunReport.from_counters(
-                scope.snapshot(include_timers=False)["counters"],
-                label="train",
-            )
-            return {"rows": rows}, report
-
-        try:
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(_run)
-        except ValueError as exc:
-            raise BadRequestError(f"bad train request: {exc}") from None
-        return self._finish("train", key, result, report)
-
     # ----------------------------------------------------------- kind:stats
     async def _handle_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         if params:
@@ -851,6 +497,7 @@ class SimulationService:
             "requests_total": self.requests_total,
             "requests_completed": self.requests_completed,
             "requests_rejected": self.requests_rejected,
+            "requests_failed": dict(sorted(self.requests_failed.items())),
             "requests_by_kind": dict(sorted(self.requests_by_kind.items())),
             "inflight": self._inflight,
             "max_inflight": self.config.max_inflight,

@@ -2,7 +2,9 @@
 
 import pytest
 
-from repro.cli import SWEEP_COMMANDS, _COMMANDS, build_parser, main
+from repro.cli import SWEEP_COMMANDS, _COMMANDS, build_parser, job_config, main
+from repro.jobs import JOBS
+from repro.serve.cache import canonical_json
 
 
 class TestParser:
@@ -60,6 +62,24 @@ class TestParser:
         )
         assert args.seed == 9
         assert args.workers == 2
+
+    @pytest.mark.parametrize(
+        "command, overrides",
+        [
+            # `cimflow pipeline` sweeps more tiles at a larger batch than
+            # the served `dse` job.
+            ("pipeline", {"tile_counts": [4, 8, 16, 32], "batch_sizes": [64]}),
+            ("ecc-advisor", {}),
+            ("attention", {}),
+            ("train", {}),
+        ],
+    )
+    def test_bare_command_runs_the_job_defaults(self, command, overrides):
+        kind, cfg = job_config(build_parser().parse_args([command]))
+        # Canonical JSON also tells 8 from 8.0.
+        assert canonical_json(cfg) == canonical_json(
+            {**JOBS[kind].defaults, **overrides}
+        )
 
     def test_pipeline_options(self):
         args = build_parser().parse_args(

@@ -258,6 +258,55 @@ class TestSweepAndDse:
                 await svc.submit(
                     {"kind": "dse", "params": {"objectives": ["latency"]}}
                 )
+            return svc
+
+        # Rejected before the results cache is consulted, so before any
+        # grid point runs.
+        assert run(main()).results_misses == 0
+
+
+class TestJobKinds:
+    # Results-cache key of each kind's all-defaults request.  A moved or
+    # retyped default (list vs tuple, int vs float) changes the key and
+    # orphans every cached result of that kind.
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("sweep", "303455be890b587c55adb46e2802b441"),
+            ("dse", "7519813cf3cffed6510abac87158c6d5"),
+            ("pipeline", "d6deaa054b6f2ab823cdaea856a30086"),
+            ("ecc", "1ee205c5b6dc394a584a98e25292be6e"),
+            ("attention", "f4af0afa9166ec673e87fd665f4c1df4"),
+            ("train", "8be4c1f982576524201a18a319cd40da"),
+        ],
+    )
+    def test_default_request_key_is_pinned(self, kind, digest):
+        async def main():
+            svc = make_service()
+            # Served from an entry planted under the pinned key, so
+            # nothing is computed.
+            svc.results.put((kind, digest), {"result": kind, "report": {}})
+            return await svc.submit({"kind": kind})
+
+        response = run(main())
+        assert (response["cache"], response["result"]) == ("hit", kind)
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("sweep", {"trials": 0}),
+            ("dse", {"tile_counts": [0]}),
+            ("pipeline", {"tiles": 0}),
+            ("ecc", {"codes": ["rs255"]}),
+            ("attention", {"seqs": [0]}),
+            ("train", {"backend": "tpu"}),
+        ],
+    )
+    def test_bad_job_input_is_a_bad_request(self, kind, params):
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError, match=f"bad {kind} request"):
+                await svc.submit({"kind": kind, "params": params})
 
         run(main())
 
@@ -569,10 +618,6 @@ class TestEcc:
                 await svc.submit(
                     {"kind": "ecc", "params": {"codez": ["secded"]}}
                 )
-            with pytest.raises(BadRequestError, match="bad ecc request"):
-                await svc.submit(
-                    {"kind": "ecc", "params": {**ECC, "codes": ["rs255"]}}
-                )
 
         run(main())
 
@@ -674,10 +719,6 @@ class TestWorkloadKinds:
                 await svc.submit(
                     {"kind": "attention", "params": {"seqz": [4]}}
                 )
-            with pytest.raises(BadRequestError, match="bad train request"):
-                await svc.submit(
-                    {"kind": "train", "params": {**TRAIN, "backend": "tpu"}}
-                )
 
         run(main())
 
@@ -742,6 +783,32 @@ class TestStatsAndLifetime:
         assert result["requests_by_kind"]["infer"] == 2
         assert result["results_cache"]["request_hits"] == 1
         assert result["batcher"]["requests"] == 1
+
+    def test_failed_requests_are_accounted(self):
+        """Every admitted request ends up completed, rejected, failed or
+        still in flight."""
+
+        async def main():
+            svc = make_service()
+            for kind, params in (
+                ("train", {"epochs": -3}),
+                ("pipeline", {"bogus": 1}),
+                ("sweep", {"trials": 0}),
+                ("dse", {"tile_counts": [0]}),
+            ):
+                with pytest.raises(BadRequestError):
+                    await svc.submit({"kind": kind, "params": params})
+            return svc.stats()
+
+        stats = run(main())
+        assert stats["requests_total"] == 4
+        assert stats["requests_failed"] == {"bad_request": 4}
+        assert stats["requests_total"] == (
+            stats["requests_completed"]
+            + stats["requests_rejected"]
+            + sum(stats["requests_failed"].values())
+            + stats["inflight"]
+        )
 
     def test_bad_kind_and_shape_rejections(self):
         async def main():
