@@ -6,9 +6,12 @@ inference request and a yield sweep over the socket, then re-submits the
 identical sweep and asserts the second response is a results-cache hit
 that is bit-identical to the cold one — the serving layer's core
 contract, exercised through the same process boundary users cross.  A
-request that fails must come back as a structured ``bad_request`` and be
-counted in ``stats``: every admitted request is completed, rejected,
-failed or in flight.
+training sweep run on a 2-process pool must report the energy its pool
+workers charged, and the same request without ``workers`` must be a
+results-cache hit (the worker count changes neither result nor
+report).  A request that fails must come back as a structured
+``bad_request`` and be counted in ``stats``: every admitted request is
+completed, rejected, failed or in flight.
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -34,6 +37,7 @@ MODEL = {
     "wire_resistance": 1.0,
 }
 SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
+TRAIN = {"lives": [8.0], "drift_nus": [0.0, 0.01], "epochs": 2}
 
 READY_RE = re.compile(r"listening on ([\d.]+):(\d+)")
 
@@ -95,6 +99,20 @@ def main():
                 ):
                     fail(f"warm sweep {field} differs from cold response")
             print("serve_smoke: warm sweep is a bit-identical cache hit")
+
+            pooled = client.request("train", {**TRAIN, "workers": 2})
+            if not pooled.get("ok"):
+                fail(f"pooled train failed: {pooled.get('error')}")
+            energy = pooled["report"]["totals"]["energy"]
+            if not energy > 0:
+                fail(f"pooled train report lost its workers' energy: {energy}")
+            again = client.request("train", TRAIN)
+            if again.get("cache") != "hit":
+                fail(
+                    "train without workers must hit the pooled run's cache "
+                    f"entry, got {again.get('cache')}"
+                )
+            print(f"serve_smoke: pooled train charged {energy:.3e} J")
 
             bad = client.request("sweep", {**SWEEP, "trials": 0})
             if bad.get("ok") or bad["error"]["code"] != "bad_request":

@@ -251,13 +251,6 @@ class CIMCore:
         return np.asarray(x, dtype=float) @ np.asarray(weights, dtype=float)
 
     # --------------------------------------------------------- CIM-P logic
-    def _stored_bits(self, row: int) -> np.ndarray:
-        """Interpret each physical column's cell on ``row`` as a bit
-        (above/below the conductance midpoint)."""
-        levels = self.params.levels
-        midpoint = 0.5 * (levels.g_min + levels.g_max)
-        return (self.array.conductances()[row] >= midpoint).astype(int)
-
     def write_bit_row(self, row: int, bits: np.ndarray) -> None:
         """Store a bit vector on one wordline (LRS = 1, HRS = 0).
 

@@ -38,9 +38,10 @@ class Job:
     and returns ``(result, RunReport)``; ``artifacts`` is the server's
     :class:`~repro.serve.cache.ArtifactCache`, which only ``pipeline``
     reuses across requests.  ``uncached`` names the request parameters
-    passed to ``run`` outside ``cfg``: they never change results, so
-    they stay out of the results-cache key.  ``check`` rejects a bad
-    config before any compute is queued.
+    passed to ``run`` outside ``cfg``: they never change the result or
+    the report (the sweep engine folds every job's counters the same way
+    at any worker count), so they stay out of the results-cache key.
+    ``check`` rejects a bad config before any compute is queued.
     """
 
     defaults: Config
@@ -69,7 +70,7 @@ def _run_sweep(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.apps.nn import accuracy_vs_yield
 
     with _priced(cfg) as scope:
-        rows, grid_report = accuracy_vs_yield(
+        rows = accuracy_vs_yield(
             yields=tuple(cfg["yields"]),
             n_samples=int(cfg["n_samples"]),
             n_features=int(cfg["n_features"]),
@@ -80,11 +81,8 @@ def _run_sweep(cfg: Config, workers: Optional[int] = 0, artifacts=None):
             rng=int(cfg["seed"]),
             epochs=int(cfg["epochs"]),
             workers=workers,
-            with_report=True,
         )
-    # Training/clean-deployment costs land on the outer scope; per-job
-    # costs are only in the grid report.  Merge both.
-    return {"rows": rows}, _report(scope, "sweep").merge(grid_report)
+    return {"rows": rows}, _report(scope, "sweep")
 
 
 def _check_dse(cfg: Config) -> None:
@@ -180,7 +178,7 @@ def _run_ecc(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.testing.ecc_advisor import advise_ecc, ecc_advisor_analysis
 
     with _priced(cfg) as scope:
-        rows, grid_report = advise_ecc(
+        rows = advise_ecc(
             codes=[str(c) for c in cfg["codes"]],
             yields=[float(y) for y in cfg["yields"]],
             scenarios=[str(s) for s in cfg["scenarios"]] or None,
@@ -190,13 +188,9 @@ def _run_ecc(cfg: Config, workers: Optional[int] = 0, artifacts=None):
             trials=int(cfg["trials"]),
             seed=int(cfg["seed"]),
             workers=workers,
-            with_report=True,
         )
     advice = ecc_advisor_analysis(rows)
-    return (
-        {"rows": rows, "advice": advice},
-        _report(scope, "ecc").merge(grid_report),
-    )
+    return {"rows": rows, "advice": advice}, _report(scope, "ecc")
 
 
 def _run_attention(cfg: Config, workers: Optional[int] = 0, artifacts=None):

@@ -197,12 +197,6 @@ class StageAllocation:
             out[b] = _apply_activation(z, node.activation).reshape(-1)
         return out
 
-    def latency_accumulated(self) -> float:
-        """Total latency charged across this stage's replicas so far (s)."""
-        return sum(
-            accel.total_costs().total.latency for accel in self.replicas
-        )
-
 
 @dataclass
 class Allocation:

@@ -25,12 +25,15 @@ from __future__ import annotations
 
 import asyncio
 import json
+import logging
 import socket
 from typing import Any, Dict, Optional, Tuple
 
 from repro.serve.service import ServeError, ServiceConfig, SimulationService
 
 __all__ = ["SimulationServer", "ServeClient", "serve_forever"]
+
+logger = logging.getLogger(__name__)
 
 #: Refuse lines past this size instead of buffering unboundedly.
 MAX_LINE_BYTES = 32 * 1024 * 1024
@@ -136,6 +139,7 @@ class SimulationServer:
                 "error": {"code": "bad_request", "message": f"invalid JSON: {exc}"},
             }
         except Exception as exc:  # never kill the connection on a bad job
+            logger.exception("internal error handling request %r", request_id)
             response = {
                 "ok": False,
                 "error": {"code": "internal", "message": f"{type(exc).__name__}: {exc}"},

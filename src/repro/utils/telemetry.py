@@ -339,9 +339,9 @@ class RunReport:
     ) -> "RunReport":
         """Fold ``reports`` left-to-right (job order) into one report.
 
-        The fold order is part of the contract: per-job reports collected
-        by the sweep engine reduce to bit-identical totals at any worker
-        count because jobs are always folded by flat job index.
+        The fold order is part of the contract: folding per-job reports by
+        flat job index gives the same totals at any worker count (the
+        sweep engine folds per-job counters the same way).
         """
         out = cls(label=label)
         for report in reports:

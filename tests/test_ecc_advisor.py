@@ -14,6 +14,8 @@ from repro.testing.ecc_advisor import (
     advise_ecc,
     ecc_advisor_analysis,
 )
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 CODES = ("secded", "bch")
 YIELDS = (0.999, 0.98)
@@ -130,8 +132,10 @@ class TestAdviseRows:
             if a["word_failure_rate"] not in (0.0, 1.0)
         )
 
-    def test_with_report_conserves(self):
-        rows, report = advise_ecc(**FAST, with_report=True)
+    def test_sweep_report_conserves(self):
+        with telemetry.scoped() as scope:
+            rows = advise_ecc(**FAST)
+        report = RunReport.from_counters(scope.counters)
         assert len(rows) == len(CODES) * len(YIELDS) * len(SCENARIOS)
         report.validate()
         data = report.to_dict()

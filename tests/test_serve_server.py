@@ -2,6 +2,7 @@
 
 import asyncio
 import json
+import logging
 import socket
 
 import numpy as np
@@ -84,6 +85,25 @@ class TestProtocolErrors:
         assert response["ok"] is False
         assert response["error"]["code"] == "bad_request"
         assert "bogus" in response["error"]["message"]
+
+    def test_internal_error_logs_its_traceback(self, monkeypatch, caplog):
+        async def broken(self, params):
+            raise RuntimeError("stats backend exploded")
+
+        monkeypatch.setattr(SimulationService, "_handle_stats", broken)
+
+        def work(host, port):
+            with ServeClient(host=host, port=port) as client:
+                return client.request("bogus"), client.request("stats")
+
+        with caplog.at_level(logging.ERROR, logger="repro.serve.server"):
+            bad, broken = with_server(work)
+        assert bad["error"]["code"] == "bad_request"
+        assert broken["error"]["code"] == "internal"
+        # Only the internal error is logged, with its traceback.
+        (record,) = caplog.records
+        assert record.exc_info[0] is RuntimeError
+        assert "stats backend exploded" in caplog.text
 
     def test_invalid_json_line_is_structured(self):
         def work(host, port):

@@ -2,6 +2,8 @@
 admission control, per-request reports)."""
 
 import asyncio
+import hashlib
+import json
 
 import numpy as np
 import pytest
@@ -27,6 +29,37 @@ MODEL = {
 }
 
 SWEEP = {"yields": [1.0, 0.8], "trials": 1, "epochs": 4, "n_samples": 120}
+
+ECC = {
+    "codes": ["secded", "bch"],
+    "yields": [0.999, 0.99],
+    "mc_words": 256,
+    "trials": 1,
+}
+
+ATTENTION = {
+    "seqs": [4],
+    "d_heads": [4],
+    "micro_batches": [2],
+    "d_model": 8,
+    "batch": 8,
+}
+
+TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 2}
+
+#: One small request per sweep-engine kind.  dse's 16 tiles fit the cnn;
+#: an infeasible tile count would charge nothing.
+SWEEP_ENGINE_JOBS = {
+    "sweep": SWEEP,
+    "dse": {
+        "tile_counts": [16],
+        "duplication_modes": ["none"],
+        "batch_sizes": [16],
+    },
+    "ecc": ECC,
+    "attention": ATTENTION,
+    "train": TRAIN,
+}
 
 
 def run(coro):
@@ -310,6 +343,40 @@ class TestJobKinds:
 
         run(main())
 
+    @pytest.mark.parametrize("kind", sorted(SWEEP_ENGINE_JOBS))
+    def test_served_job_is_the_same_at_every_worker_count(self, kind):
+        async def served(workers):
+            svc = make_service()
+            params = {**SWEEP_ENGINE_JOBS[kind], "workers": workers}
+            response = await svc.submit({"kind": kind, "params": params})
+            return [
+                json.dumps(response[field], sort_keys=True)
+                for field in ("result", "report")
+            ]
+
+        serial = run(served(0))
+        assert run(served(2)) == serial
+        assert json.loads(serial[1])["categories"]
+
+    # sha256 of the served report's JSON.  Folding each job's counters in
+    # the sweep engine must leave these reports bit-for-bit unchanged.
+    @pytest.mark.parametrize("workers", (0, 2))
+    @pytest.mark.parametrize(
+        "kind, digest",
+        [
+            ("sweep", "ac47a276cc0a299557ab1a7a56cce27b0a119677c5aa910128a42a8e2e4de708"),
+            ("ecc", "e09717f3ae1a3a81cae598d3c40cf9516e77ae5c6dcc49dfa53909f21581b113"),
+        ],
+    )
+    def test_served_report_is_pinned(self, kind, digest, workers):
+        async def main():
+            svc = make_service()
+            params = {**SWEEP_ENGINE_JOBS[kind], "workers": workers}
+            return await svc.submit({"kind": kind, "params": params})
+
+        text = RunReport.from_dict(run(main())["report"]).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestEnergyModelCacheKeys:
     """Static and value-aware runs of the same config must never share
@@ -546,14 +613,6 @@ class TestFaultsAndInvalidation:
         run(main())
 
 
-ECC = {
-    "codes": ["secded", "bch"],
-    "yields": [0.999, 0.99],
-    "mc_words": 256,
-    "trials": 1,
-}
-
-
 class TestEcc:
     def test_ecc_cold_then_warm_bit_identical(self):
         async def main():
@@ -620,17 +679,6 @@ class TestEcc:
                 )
 
         run(main())
-
-
-ATTENTION = {
-    "seqs": [4],
-    "d_heads": [4],
-    "micro_batches": [2],
-    "d_model": 8,
-    "batch": 8,
-}
-
-TRAIN = {"lives": [8.0], "drift_nus": [0.01], "epochs": 2}
 
 
 class TestWorkloadKinds:

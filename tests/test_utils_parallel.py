@@ -6,6 +6,7 @@ import sys
 import numpy as np
 import pytest
 
+from repro.utils import telemetry
 from repro.utils.parallel import (
     ENV_WORKERS,
     SharedArrayPack,
@@ -38,6 +39,14 @@ def _grid_draw(point, trial, rng):
 
 def _block_draw(count, rng):
     return rng.random(count)
+
+
+def _charging_draw(trial, rng):
+    """Charge order-sensitive float counters, then return a draw."""
+    value = float(rng.random())
+    telemetry.current().incr("test.value", value)
+    telemetry.current().incr("test.calls")
+    return value
 
 
 def _with_args(trial, rng, offset, scale):
@@ -197,6 +206,20 @@ class TestRunTrials:
 
     def test_zero_trials(self):
         assert run_trials(_draw, 0, seed=0) == []
+
+    def test_job_counters_reach_the_caller_at_every_worker_count(self):
+        folds = []
+        for workers in (0, 2):
+            with telemetry.scoped() as scope:
+                scope.incr("test.value", 0.5)  # the caller's own charge
+                values = run_trials(_charging_draw, 7, seed=3, workers=workers)
+            folds.append(scope.counters)
+        # Jobs fold left to right from zero; the fold is added once.
+        total = 0.0
+        for value in values:
+            total += value
+        expected = {"test.calls": 7.0, "test.value": 0.5 + total}
+        assert folds[0] == folds[1] == expected
 
     def test_negative_trials_rejected(self):
         with pytest.raises(ValueError):
