@@ -34,8 +34,9 @@ def _cim_workload():
 
 def test_fig1_von_neumann_movement_dominates(run_once):
     machine = run_once(_von_neumann_workload)
-    movement = machine.costs.energy_fraction("data_movement")
-    compute = machine.costs.energy_fraction("compute")
+    fractions = machine.report().energy_fractions()
+    movement = fractions["data_movement"]
+    compute = fractions["compute"]
     print_table(
         "Fig 1(a): von-Neumann energy split",
         [

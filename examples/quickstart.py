@@ -40,15 +40,15 @@ def main():
 
     print("\nEnergy breakdown (100 VMMs; programming amortizes away):")
     steady = {
-        k: v
-        for k, v in core.costs.by_category.items()
+        k: v["energy"]
+        for k, v in core.costs.categories.items()
         if k != "programming"
     }
-    steady_total = sum(c.energy for c in steady.values())
-    for category, cost in sorted(steady.items()):
+    steady_total = sum(steady.values())
+    for category, energy in sorted(steady.items()):
         print(
-            f"  {category:<12} {cost.energy * 1e12:10.3f} pJ   "
-            f"({cost.energy / steady_total:5.1%})"
+            f"  {category:<12} {energy * 1e12:10.3f} pJ   "
+            f"({energy / steady_total:5.1%})"
         )
     print("  -> the ADC dominates, as Fig 5 of the paper reports")
 

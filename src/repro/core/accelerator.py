@@ -17,7 +17,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from repro.core.cim_core import CIMCore, CIMCoreParams
-from repro.core.metrics import CostAccumulator, OperationCost
+from repro.core.metrics import CostAccumulator
 from repro.devices.variability import VariabilityStack
 from repro.utils.rng import RNGLike, ensure_rng, spawn_rngs
 from repro.utils.telemetry import RunReport

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict
 
 from repro.utils import telemetry
@@ -11,7 +11,7 @@ from repro.utils.validation import check_non_negative
 
 @dataclass
 class OperationCost:
-    """Cost of one primitive operation."""
+    """Cost of one priced event (what every ``charge_*`` returns)."""
 
     energy: float = 0.0        # J
     latency: float = 0.0       # s
@@ -29,37 +29,50 @@ class OperationCost:
             data_moved=self.data_moved + other.data_moved,
         )
 
-    def scaled(self, factor: float) -> "OperationCost":
-        """Cost of ``factor`` repetitions."""
-        check_non_negative("factor", factor)
-        return OperationCost(
-            energy=self.energy * factor,
-            latency=self.latency * factor,
-            data_moved=self.data_moved * factor,
-        )
 
-
-@dataclass
 class CostAccumulator:
-    """Running totals with a per-category breakdown."""
+    """Running totals with a per-category breakdown.
 
-    total: OperationCost = field(default_factory=OperationCost)
-    by_category: Dict[str, OperationCost] = field(default_factory=dict)
+    ``categories`` has the shape of
+    :attr:`repro.utils.telemetry.RunReport.categories`: category ->
+    ``{"energy", "latency", "data_moved"}``.  The total is a separate
+    running sum in charge order, not a sum over categories.
+    """
+
+    def __init__(self) -> None:
+        self.categories: Dict[str, Dict[str, float]] = {}
+        self._energy = 0.0
+        self._latency = 0.0
+        self._data_moved = 0.0
+
+    @property
+    def total(self) -> OperationCost:
+        """Everything charged so far."""
+        return OperationCost(self._energy, self._latency, self._data_moved)
+
+    def _fold(
+        self, category: str, energy: float, latency: float, data_moved: float
+    ) -> None:
+        self._energy += energy
+        self._latency += latency
+        self._data_moved += data_moved
+        entry = self.categories.get(category)
+        if entry is None:
+            entry = self.categories[category] = {
+                "energy": 0.0, "latency": 0.0, "data_moved": 0.0
+            }
+        entry["energy"] += energy
+        entry["latency"] += latency
+        entry["data_moved"] += data_moved
 
     def add(self, category: str, cost: OperationCost) -> None:
         """Accumulate ``cost`` under ``category``.
 
-        The stored entry is always a fresh :class:`OperationCost` — never
-        the caller's object — so mutating the argument afterwards cannot
-        corrupt the totals.  Every charge is also mirrored into the
-        current telemetry scope (:mod:`repro.utils.telemetry`), which is
-        how per-job run reports capture energy breakdowns for free.
+        Every charge is also mirrored into the current telemetry scope
+        (:mod:`repro.utils.telemetry`), which is how per-job run reports
+        capture energy breakdowns for free.
         """
-        self.total = self.total + cost
-        # ``+`` constructs a new object, so the first add stores a copy too.
-        self.by_category[category] = (
-            self.by_category.get(category, OperationCost()) + cost
-        )
+        self._fold(category, cost.energy, cost.latency, cost.data_moved)
         telemetry.current().charge(
             category, cost.energy, cost.latency, cost.data_moved
         )
@@ -68,44 +81,14 @@ class CostAccumulator:
         """Fold another accumulator's breakdown into this one *without*
         re-mirroring to telemetry (the charges were mirrored when first
         accumulated — aggregation must not double-count them)."""
-        for category in sorted(other.by_category):
-            cost = other.by_category[category]
-            self.total = self.total + cost
-            self.by_category[category] = (
-                self.by_category.get(category, OperationCost()) + cost
+        for category in sorted(other.categories):
+            entry = other.categories[category]
+            self._fold(
+                category, entry["energy"], entry["latency"], entry["data_moved"]
             )
 
     def as_dict(self) -> Dict[str, Dict[str, float]]:
-        """Plain-dict breakdown (sorted) for reports/serialization."""
+        """Sorted copy of :attr:`categories` for reports/serialization."""
         return {
-            name: {
-                "energy": self.by_category[name].energy,
-                "latency": self.by_category[name].latency,
-                "data_moved": self.by_category[name].data_moved,
-            }
-            for name in sorted(self.by_category)
+            name: dict(self.categories[name]) for name in sorted(self.categories)
         }
-
-    def energy_fraction(self, category: str) -> float:
-        """Share of total energy attributed to ``category``."""
-        if self.total.energy == 0:
-            return 0.0
-        return self.by_category.get(category, OperationCost()).energy / self.total.energy
-
-    def latency_fraction(self, category: str) -> float:
-        """Share of total latency attributed to ``category``."""
-        if self.total.latency == 0:
-            return 0.0
-        return (
-            self.by_category.get(category, OperationCost()).latency
-            / self.total.latency
-        )
-
-    def movement_fraction(self, category: str) -> float:
-        """Share of total data movement attributed to ``category``."""
-        if self.total.data_moved == 0:
-            return 0.0
-        return (
-            self.by_category.get(category, OperationCost()).data_moved
-            / self.total.data_moved
-        )

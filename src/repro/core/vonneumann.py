@@ -62,9 +62,9 @@ class VonNeumannMachine:
 
     def report(self, label: str = "von_neumann") -> RunReport:
         """Structured run report: cost breakdown + workload counters."""
-        return RunReport.from_cost_accumulator(
-            self.costs,
+        return RunReport(
             label=label,
+            categories=self.costs.as_dict(),
             counters={
                 "vonneumann.vmm_calls": float(self._vmm_calls),
                 "vonneumann.macs": float(self._macs),

@@ -20,17 +20,15 @@ one flag:
   mode) so large sweeps stay fast.
 
 Model selection is context-local (:func:`use_model`) with a process-wide
-default (:func:`set_process_default`, seeded from the
-``REPRO_ENERGY_MODEL`` environment variable); the parallel sweep engine
-ships the active spec to its worker processes so serial and multi-worker
-sweeps price identically.
+default (:func:`set_process_default`, static until set); the parallel
+sweep engine ships the active spec to its worker processes so serial and
+multi-worker sweeps price identically.
 """
 
 from repro.costs.models import (
     CELL_AREA,
     WRITE_ENERGY_PER_CELL,
     WRITE_PULSE_TIME,
-    ENV_ENERGY_MODEL,
     EnergyModel,
     EnergyModelSpec,
     StaticEnergyModel,
@@ -52,7 +50,6 @@ __all__ = [
     "CELL_AREA",
     "WRITE_ENERGY_PER_CELL",
     "WRITE_PULSE_TIME",
-    "ENV_ENERGY_MODEL",
     "EnergyModel",
     "EnergyModelSpec",
     "StaticEnergyModel",

@@ -26,15 +26,14 @@ awareness re-prices *energy* only, keeping timing comparisons stable.
 
 Selection is context-local: :func:`use_model` scopes a model to a
 ``with`` block, :func:`set_process_default` pins the process default
-(what the sweep engine's worker initializer calls), and the
-``REPRO_ENERGY_MODEL`` environment variable seeds the initial default.
-All value-aware pricing is a pure function of the charged data, so
-reports stay bit-identical between serial and multi-worker sweeps.
+(what the sweep engine's worker initializer calls); the default is the
+static model until something sets it.  All value-aware pricing is a pure
+function of the charged data, so reports stay bit-identical between
+serial and multi-worker sweeps.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import asdict, dataclass, replace
@@ -48,7 +47,6 @@ __all__ = [
     "CELL_AREA",
     "WRITE_ENERGY_PER_CELL",
     "WRITE_PULSE_TIME",
-    "ENV_ENERGY_MODEL",
     "EnergyModelSpec",
     "EnergyModel",
     "StaticEnergyModel",
@@ -66,9 +64,6 @@ CELL_AREA = 2.5e-5 / (128 * 128)
 #: Write-pulse cost per cell (SET-pulse CV^2-style estimate).
 WRITE_ENERGY_PER_CELL = 10e-12   # J
 WRITE_PULSE_TIME = 100e-9        # s per programming pulse
-
-#: Environment variable seeding the process-default model spec.
-ENV_ENERGY_MODEL = "REPRO_ENERGY_MODEL"
 
 _KINDS = ("static", "value_aware")
 
@@ -585,17 +580,7 @@ def model_from_spec(spec: SpecLike) -> EnergyModel:
     return model
 
 
-def _env_default() -> EnergyModelSpec:
-    raw = os.environ.get(ENV_ENERGY_MODEL, "static")
-    try:
-        return EnergyModelSpec.parse(raw)
-    except ValueError:
-        raise ValueError(
-            f"{ENV_ENERGY_MODEL}={raw!r} is not a recognized energy model"
-        ) from None
-
-
-_PROCESS_DEFAULT: EnergyModelSpec = _env_default()
+_PROCESS_DEFAULT: EnergyModelSpec = EnergyModelSpec()
 _SPEC_VAR: ContextVar[Optional[EnergyModelSpec]] = ContextVar(
     "repro_energy_model_spec", default=None
 )

@@ -259,14 +259,8 @@ class PipelineScheduler:
     # ----------------------------------------------------------- accounting
     def _merged_categories(self) -> Dict[str, Dict[str, float]]:
         acc = self.allocation.total_costs()
-        merged = acc.as_dict()
-        for name, entry in self.interconnect.costs.as_dict().items():
-            into = merged.setdefault(
-                name, {"energy": 0.0, "latency": 0.0, "data_moved": 0.0}
-            )
-            for key, value in entry.items():
-                into[key] = into.get(key, 0.0) + value
-        return merged
+        acc.merge(self.interconnect.costs)
+        return acc.categories
 
     # ------------------------------------------------------------ execution
     def run(

@@ -11,10 +11,15 @@ total.  This module is the one place that observability lives:
   *current* instance is always available via :func:`current`, and
   :func:`scoped` pushes a fresh instance for the duration of a job so the
   parallel sweep engine can capture per-job activity in isolation.
-* Cost mirroring — :meth:`repro.core.metrics.CostAccumulator.add` mirrors
-  every charge into the current telemetry under ``cost.energy.<category>``
-  (and latency / data-movement twins), so any scoped job automatically
-  carries its full energy breakdown without the app layer doing anything.
+* Cost mirroring — one category's cost has one shape,
+  ``{"energy", "latency", "data_moved"}``, the shape of
+  :attr:`RunReport.categories` and of
+  :attr:`repro.core.metrics.CostAccumulator.categories`.
+  :meth:`~repro.core.metrics.CostAccumulator.add` also mirrors every
+  charge into the current telemetry under ``cost.energy.<category>`` (and
+  latency / data-movement twins), and :meth:`RunReport.from_counters`
+  folds those counters back into that shape, so any scoped job carries
+  its full energy breakdown without the app layer doing anything.
 * :class:`RunReport` — a JSON-serializable merge of cost breakdowns,
   side counters (crossbar read/write ops, driver activations, sense-amp
   comparisons, solver cache hits/misses) and a static area breakdown,
@@ -382,25 +387,6 @@ class RunReport:
             label=label,
             categories=categories,
             counters=plain,
-            timers=dict(timers or {}),
-            area=dict(area or {}),
-        )
-
-    @classmethod
-    def from_cost_accumulator(
-        cls,
-        costs,
-        label: str = "run",
-        counters: Optional[Dict[str, float]] = None,
-        timers: Optional[Dict[str, float]] = None,
-        area: Optional[Dict[str, float]] = None,
-    ) -> "RunReport":
-        """Build a report from a :class:`~repro.core.metrics.CostAccumulator`
-        plus optional side counters/timers/area."""
-        return cls(
-            label=label,
-            categories=costs.as_dict(),
-            counters=dict(counters or {}),
             timers=dict(timers or {}),
             area=dict(area or {}),
         )

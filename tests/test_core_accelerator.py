@@ -164,4 +164,4 @@ class TestFaultInjection:
         accel.vmm(rng.uniform(0, 1, 100), noisy=False)
         costs = accel.total_costs()
         assert costs.total.energy > 0
-        assert "adc" in costs.by_category
+        assert "adc" in costs.categories

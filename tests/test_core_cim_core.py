@@ -57,7 +57,7 @@ class TestVMM:
     def test_costs_accumulate_per_category(self, programmed_core, rng):
         core, _ = programmed_core
         core.vmm(rng.uniform(0, 1, 32))
-        categories = set(core.costs.by_category)
+        categories = set(core.costs.categories)
         assert {"programming", "dac", "array", "adc"}.issubset(categories)
 
     def test_adc_energy_dominates_analog_path(self, programmed_core, rng):
@@ -65,9 +65,9 @@ class TestVMM:
         core, _ = programmed_core
         for _ in range(10):
             core.vmm(rng.uniform(0, 1, 32))
-        adc = core.costs.by_category["adc"].energy
-        dac = core.costs.by_category["dac"].energy
-        array = core.costs.by_category["array"].energy
+        adc = core.costs.categories["adc"]["energy"]
+        dac = core.costs.categories["dac"]["energy"]
+        array = core.costs.categories["array"]["energy"]
         assert adc > dac + array
 
 
@@ -159,12 +159,12 @@ class TestWriteBitRow:
         return CIMCore(CIMCoreParams(rows=8, logical_cols=8), rng=3)
 
     def test_charges_programming_cost(self, logic_core):
-        before = logic_core.costs.by_category.get("programming")
-        before_energy = before.energy if before else 0.0
+        before = logic_core.costs.categories.get("programming")
+        before_energy = before["energy"] if before else 0.0
         logic_core.write_bit_row(0, np.ones(logic_core.array.cols, dtype=int))
-        after = logic_core.costs.by_category["programming"]
-        assert after.energy > before_energy
-        assert after.latency > 0
+        after = logic_core.costs.categories["programming"]
+        assert after["energy"] > before_energy
+        assert after["latency"] > 0
 
     def test_untouched_rows_bit_identical(self, logic_core):
         rng = np.random.default_rng(0)
@@ -187,13 +187,13 @@ class TestWriteBitRow:
         logic_core.write_bit_row(0, rng.integers(0, 2, logic_core.array.cols))
         logic_core.write_bit_row(1, rng.integers(0, 2, logic_core.array.cols))
         logic_core.scouting_or([0, 1])
-        categories = logic_core.costs.by_category
-        assert categories["driver"].energy > 0
-        assert categories["decoder"].energy > 0
+        categories = logic_core.costs.categories
+        assert categories["driver"]["energy"] > 0
+        assert categories["decoder"]["energy"] > 0
 
     def test_vmm_batch_charges_driver(self):
         core = CIMCore(CIMCoreParams(rows=16, logical_cols=8), rng=0)
         rng = np.random.default_rng(0)
         core.program_weights(rng.uniform(-1, 1, (16, 8)))
         core.vmm_batch(rng.uniform(0, 1, (4, 16)), noisy=False)
-        assert core.costs.by_category["driver"].energy > 0
+        assert core.costs.categories["driver"]["energy"] > 0

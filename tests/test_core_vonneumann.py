@@ -27,7 +27,7 @@ class TestBottleneck:
         w = rng.uniform(-1, 1, (64, 64))
         batch = rng.uniform(0, 1, (8, 64))
         machine.run_workload(batch, w)
-        assert machine.costs.energy_fraction("data_movement") > 0.5
+        assert machine.report().energy_fractions()["data_movement"] > 0.5
 
     def test_movement_latency_significant(self, rng):
         machine = VonNeumannMachine()
@@ -35,7 +35,7 @@ class TestBottleneck:
         batch = rng.uniform(0, 1, (8, 64))
         machine.run_workload(batch, w)
         total = machine.costs.total.latency
-        movement = machine.costs.by_category["data_movement"].latency
+        movement = machine.costs.categories["data_movement"]["latency"]
         assert movement / total > 0.3
 
     def test_resident_weights_cut_movement(self, rng):

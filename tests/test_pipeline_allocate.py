@@ -123,7 +123,7 @@ class TestAccounting:
         alloc = allocate(g, TileInventory(n_tiles=8), duplication="auto", rng=0)
         costs = alloc.total_costs()
         assert costs.total.energy > 0
-        assert "programming" in costs.by_category
+        assert "programming" in costs.categories
 
     def test_area_scales_with_replication(self, rng):
         g = _mlp_graph(rng)

@@ -19,11 +19,11 @@ class TestInterconnect:
         ic = Interconnect()
         lat = ic.transfer(100)
         assert lat > 0
-        entry = ic.costs.by_category["interconnect"]
-        assert entry.energy == pytest.approx(
+        entry = ic.costs.categories["interconnect"]
+        assert entry["energy"] == pytest.approx(
             200 * ic.params.energy_per_byte
         )
-        assert entry.data_moved == 200
+        assert entry["data_moved"] == 200
         assert ic.transfers == 1
         assert ic.bytes_moved == 200
 

@@ -175,7 +175,7 @@ class TestAccounting:
         _, alloc, x = _mlp_setup()
         res = PipelineScheduler(alloc, ScheduleParams(micro_batch=4)).run(x)
         assert "programming" not in res.categories
-        assert "programming" in alloc.total_costs().by_category
+        assert "programming" in alloc.total_costs().categories
 
     def test_side_counters_reach_enclosing_scope(self):
         _, alloc, x = _mlp_setup()

@@ -377,6 +377,52 @@ class TestJobKinds:
         text = RunReport.from_dict(run(main())["report"]).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # sha256 of the served result and report JSON.  Reshaping the cost
+    # ledger must leave both bit-for-bit unchanged.
+    @pytest.mark.parametrize(
+        "kind, params, result_digest, report_digest",
+        [
+            (
+                "pipeline",
+                {"tiles": 8, "batch": 16},
+                "1fafb53b422a44f63dd7ea5373fca85e397c0233796d6c2180ea167831b180ed",
+                "de2a6468f20cddb1ec34beab07ceb7bcd0961de866695bafa8d2df7f1eac2f73",
+            ),
+            (
+                "dse",
+                SWEEP_ENGINE_JOBS["dse"],
+                "f79e1ed7cc4f5767d0003de5f60e8425e690d59c79cce7ed49609e1f589a1237",
+                "4c46a187b2eaac60aa0cae602ee28334439b66a980792e0f1d18accc3b03f3bc",
+            ),
+            (
+                "attention",
+                ATTENTION,
+                "d0f5d69d6e0d69e464b7bae397a28ee7d263179dd0811fb6969bf6521bd24a91",
+                "0a060d65fb6c9111432b24c108a4845330e7c1944652e90559edf567d6093bdc",
+            ),
+            (
+                "train",
+                TRAIN,
+                "e12e87c28a0b40d09bd07dc3e7ed48da1bb319483c102c588f6e8d3459086b29",
+                "01cc01ed4888dcdde72e8b2d740e71951159beaecaac6197e478a684082cd479",
+            ),
+        ],
+    )
+    def test_served_result_and_report_are_pinned(
+        self, kind, params, result_digest, report_digest
+    ):
+        async def main():
+            svc = make_service()
+            return await svc.submit({"kind": kind, "params": dict(params)})
+
+        response = run(main())
+        assert [
+            hashlib.sha256(
+                json.dumps(response[field], sort_keys=True).encode()
+            ).hexdigest()
+            for field in ("result", "report")
+        ] == [result_digest, report_digest]
+
 
 class TestEnergyModelCacheKeys:
     """Static and value-aware runs of the same config must never share

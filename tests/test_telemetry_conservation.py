@@ -4,7 +4,8 @@ Whatever a machine model spends must appear — exactly once — in its
 report: the per-category sums equal the accumulator totals, and every
 fraction family lies in [0, 1] and sums to 1.  These tests pin that for
 all three instrumented machines (CIMCore, VonNeumannMachine,
-CIMAccelerator).
+CIMAccelerator), and that each object's ledger agrees exactly with the
+``cost.*`` counters its charges leave in the telemetry scope.
 """
 
 import numpy as np
@@ -13,6 +14,12 @@ import pytest
 from repro.core.accelerator import AcceleratorParams, CIMAccelerator
 from repro.core.cim_core import CIMCore, CIMCoreParams
 from repro.core.vonneumann import VonNeumannMachine
+from repro.costs import use_model
+from repro.crossbar.array import CrossbarArray, CrossbarConfig
+from repro.faults.endurance import EnduranceModel, EnduranceSimulator
+from repro.pipeline.interconnect import Interconnect
+from repro.utils import telemetry
+from repro.utils.telemetry import RunReport
 
 
 def _assert_conserved(report, costs_total):
@@ -33,16 +40,44 @@ def _assert_conserved(report, costs_total):
             assert sum(fractions.values()) == pytest.approx(1.0)
 
 
+def _run_core(gen):
+    core = CIMCore(CIMCoreParams(rows=24, logical_cols=8), rng=0)
+    core.program_weights(gen.uniform(-1, 1, (24, 8)))
+    core.vmm_batch(gen.uniform(0, 1, (4, 24)), noisy=False)
+    for x in gen.uniform(0, 1, (3, 24)):
+        core.vmm(x, noisy=False)
+    core.write_bit_row(0, gen.integers(0, 2, core.array.cols))
+    core.scouting_or([0, 1])
+    return core
+
+
+def _run_von_neumann(gen):
+    machine = VonNeumannMachine()
+    machine.run_workload(gen.uniform(0, 1, (6, 16)), gen.uniform(-1, 1, (16, 4)))
+    return machine
+
+
+def _run_interconnect(gen):
+    link = Interconnect()
+    for n_bytes in (100, 7, 4096, 333):
+        link.transfer(n_bytes, values=gen.uniform(0, 1, n_bytes))
+    return link
+
+
+def _run_endurance(gen):
+    array = CrossbarArray(CrossbarConfig(rows=8, cols=8), rng=0)
+    array.program(np.full((8, 8), 5e-5))
+    sim = EnduranceSimulator(array, EnduranceModel(characteristic_life=50), rng=1)
+    sim.cycle(3.0)
+    sim.wear(gen.integers(0, 5, (8, 8)).astype(float))
+    sim.cycle(0.5)
+    return sim
+
+
 class TestCIMCoreConservation:
     @pytest.fixture()
     def core(self):
-        core = CIMCore(CIMCoreParams(rows=24, logical_cols=8), rng=0)
-        gen = np.random.default_rng(1)
-        core.program_weights(gen.uniform(-1, 1, (24, 8)))
-        core.vmm_batch(gen.uniform(0, 1, (4, 24)), noisy=False)
-        core.write_bit_row(0, gen.integers(0, 2, core.array.cols))
-        core.scouting_or([0, 1])
-        return core
+        return _run_core(np.random.default_rng(1))
 
     def test_category_sums_equal_total(self, core):
         _assert_conserved(core.report(), core.costs.total)
@@ -67,11 +102,7 @@ class TestCIMCoreConservation:
 
 class TestVonNeumannConservation:
     def test_category_sums_equal_total(self):
-        machine = VonNeumannMachine()
-        gen = np.random.default_rng(0)
-        machine.run_workload(
-            gen.uniform(0, 1, (6, 16)), gen.uniform(-1, 1, (16, 4))
-        )
+        machine = _run_von_neumann(np.random.default_rng(0))
         report = machine.report()
         _assert_conserved(report, machine.costs.total)
         assert report.counters["vonneumann.vmm_calls"] == 6.0
@@ -104,3 +135,19 @@ class TestAcceleratorConservation:
             for core in tile_row
         )
         assert accel.report().total_energy == pytest.approx(per_tile, rel=1e-12)
+
+
+class TestLedgersAgree:
+    """The per-object ledger and the per-scope mirror fold the same
+    charges in the same order, so they agree bit for bit."""
+
+    @pytest.mark.parametrize("spec", ["static", "value_aware"])
+    @pytest.mark.parametrize(
+        "build",
+        [_run_core, _run_von_neumann, _run_interconnect, _run_endurance],
+    )
+    def test_object_ledger_equals_scope_counters(self, build, spec):
+        with use_model(spec), telemetry.scoped() as scope:
+            costs = build(np.random.default_rng(3)).costs
+        assert costs.categories
+        assert costs.as_dict() == RunReport.from_counters(scope.counters).categories

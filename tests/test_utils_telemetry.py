@@ -263,13 +263,6 @@ class TestRunReport:
             not k.startswith(COST_PREFIXES) for k in r.counters
         )
 
-    def test_from_cost_accumulator(self):
-        with telemetry.scoped():
-            acc = CostAccumulator()
-            acc.add("adc", OperationCost(energy=5.0))
-        r = RunReport.from_cost_accumulator(acc, label="acc")
-        assert r.categories["adc"]["energy"] == 5.0
-
     def test_category_table_rows(self):
         rows = self._sample().category_table()
         assert [row["category"] for row in rows] == ["adc", "dac"]
