@@ -9,9 +9,10 @@ contract, exercised through the same process boundary users cross.  A
 training sweep run on a 2-process pool must report the energy its pool
 workers charged, and the same request without ``workers`` must be a
 results-cache hit (the worker count changes neither result nor
-report).  A request that fails must come back as a structured
-``bad_request`` and be counted in ``stats``: every admitted request is
-completed, rejected, failed or in flight.
+report).  Requests that fail (an invalid sweep, a mistyped train, a
+wrong-width inference) must come back as structured ``bad_request``s,
+never ``internal``, and be counted in ``stats``: every admitted request
+is completed, rejected, failed or in flight.
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -114,10 +115,19 @@ def main():
                 )
             print(f"serve_smoke: pooled train charged {energy:.3e} J")
 
-            bad = client.request("sweep", {**SWEEP, "trials": 0})
-            if bad.get("ok") or bad["error"]["code"] != "bad_request":
-                fail(f"invalid sweep should be a bad_request, got {bad}")
-            print("serve_smoke: invalid sweep is a structured bad_request")
+            for what, kind, params in (
+                ("invalid sweep", "sweep", {**SWEEP, "trials": 0}),
+                ("mistyped train", "train", {**TRAIN, "epochs": [5]}),
+                (
+                    "wrong-width infer",
+                    "infer",
+                    {"model": MODEL, "x": [[0.1] * 3]},
+                ),
+            ):
+                bad = client.request(kind, params)
+                if bad.get("ok") or bad["error"]["code"] != "bad_request":
+                    fail(f"{what} should be a bad_request, got {bad}")
+                print(f"serve_smoke: {what} is a structured bad_request")
 
             stats = client.request("stats")
             result = stats["result"]
@@ -130,7 +140,7 @@ def main():
                 + sum(result["requests_failed"].values())
                 + result["inflight"]
             )
-            if result["requests_failed"] != {"bad_request": 1} or (
+            if result["requests_failed"] != {"bad_request": 3} or (
                 accounted != result["requests_total"]
             ):
                 fail(f"stats do not account for every request: {result}")

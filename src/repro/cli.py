@@ -22,7 +22,7 @@ import argparse
 import sys
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from repro.jobs import JOBS, REQUEST_KINDS
+from repro.jobs import JOBS, REQUEST_KINDS, ServiceConfig
 from repro.utils import telemetry
 
 
@@ -597,7 +597,7 @@ def cmd_train(args) -> int:
 
 
 def cmd_serve(args) -> int:
-    from repro.serve import ServiceConfig, serve_forever
+    from repro.serve import serve_forever
 
     serve_forever(
         host=args.host,
@@ -920,6 +920,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_energy_model_arg(train)
     _add_workers_arg(train)
 
+    serve_defaults = ServiceConfig()
     serve = sub.add_parser(
         "serve", help="run the simulation job server (JSON-lines over TCP)"
     )
@@ -928,20 +929,20 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--window",
         type=float,
-        default=0.005,
-        help="inference coalescing window in seconds (default 0.005)",
+        default=serve_defaults.batch_window_s,
+        help="inference coalescing window in seconds (default %(default)s)",
     )
     serve.add_argument(
         "--max-batch",
         type=int,
-        default=16,
-        help="flush a coalesced batch at this many requests (default 16)",
+        default=serve_defaults.max_batch,
+        help="flush a batch at this many requests (default %(default)s)",
     )
     serve.add_argument(
         "--max-inflight",
         type=int,
-        default=64,
-        help="admission-control bound on in-flight jobs (default 64)",
+        default=serve_defaults.max_inflight,
+        help="admission-control bound on in-flight jobs (default %(default)s)",
     )
 
     submit = sub.add_parser(

@@ -1,24 +1,27 @@
 """The heavy job kinds, defined once for ``cimflow`` and ``cimflow serve``.
 
 Each :class:`Job` carries the kind's defaults — the full parameter set,
-with the value and type every omitted parameter takes — and the ``run``
-that executes a normalized config.  The server fills a request from
-``defaults``, keys its results cache on the filled config and calls
-``run`` off the event loop; the CLI subcommands read their flag defaults
-from the same dicts and call the same ``run``, so the two front doors
-cannot drift apart.  Heavy imports stay inside each ``run``.
+with the value every omitted parameter takes and the type every given
+parameter must have — and the ``run`` that executes a normalized config.
+The server fills and types a request from ``defaults``, keys its results
+cache on the filled config and calls ``run`` off the event loop; the CLI
+subcommands read their flag defaults from the same dicts and call the
+same ``run``, so the two front doors cannot drift apart.  Heavy imports
+stay inside each ``run``.  The rest the CLI shares with the server,
+:data:`REQUEST_KINDS` and :class:`ServiceConfig`, lives here too, so
+building the CLI's parser never imports the server.
 """
 
 from __future__ import annotations
 
 from contextlib import contextmanager
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 from repro.utils import telemetry
 from repro.utils.telemetry import RunReport
 
-__all__ = ["Job", "JOBS", "REQUEST_KINDS"]
+__all__ = ["Job", "JOBS", "REQUEST_KINDS", "ServiceConfig"]
 
 #: Request kinds the job server accepts: the :data:`JOBS` kinds plus the
 #: server-only ``infer``, ``faults`` and ``stats``.
@@ -30,6 +33,24 @@ REQUEST_KINDS = (
 Config = Dict[str, Any]
 
 
+@dataclass
+class ServiceConfig:
+    """Serving-layer knobs; ``cimflow serve`` reads its flag defaults
+    from here."""
+
+    max_inflight: int = 64          # admission-control bound
+    batch_window_s: float = 0.005   # coalescing window for inference
+    max_batch: int = 16             # flush immediately at this many requests
+    artifact_capacity: int = 32     # deployed models / graphs / allocations
+    results_capacity: int = 256     # whole-response cache entries
+
+    def __post_init__(self) -> None:
+        if self.max_inflight < 1:
+            raise ValueError(
+                f"max_inflight must be >= 1, got {self.max_inflight}"
+            )
+
+
 @dataclass(frozen=True)
 class Job:
     """One heavy job kind.
@@ -37,16 +58,17 @@ class Job:
     ``run(cfg, workers=0, artifacts=None)`` executes a normalized config
     and returns ``(result, RunReport)``; ``artifacts`` is the server's
     :class:`~repro.serve.cache.ArtifactCache`, which only ``pipeline``
-    reuses across requests.  ``uncached`` names the request parameters
-    passed to ``run`` outside ``cfg``: they never change the result or
-    the report (the sweep engine folds every job's counters the same way
-    at any worker count), so they stay out of the results-cache key.
-    ``check`` rejects a bad config before any compute is queued.
+    reuses across requests.  ``uncached`` holds the defaults of the
+    request parameters passed to ``run`` outside ``cfg``: they never
+    change the result or the report (the sweep engine folds every job's
+    counters the same way at any worker count), so they stay out of the
+    results-cache key.  ``check`` rejects a bad config before any compute
+    is queued.
     """
 
     defaults: Config
     run: Callable[..., Tuple[Any, RunReport]]
-    uncached: Tuple[str, ...] = ("workers",)
+    uncached: Config = field(default_factory=lambda: {"workers": 0})
     check: Optional[Callable[[Config], None]] = None
 
 
@@ -66,21 +88,19 @@ def _report(scope: telemetry.Telemetry, label: str) -> RunReport:
     )
 
 
+def _args(cfg: Config, *skip: str) -> Config:
+    """``cfg`` as keyword arguments of a job's entry point, without the
+    energy model (``_priced`` applies it) and ``skip``."""
+    skip += ("energy_model",)
+    return {name: value for name, value in cfg.items() if name not in skip}
+
+
 def _run_sweep(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.apps.nn import accuracy_vs_yield
 
     with _priced(cfg) as scope:
         rows = accuracy_vs_yield(
-            yields=tuple(cfg["yields"]),
-            n_samples=int(cfg["n_samples"]),
-            n_features=int(cfg["n_features"]),
-            n_classes=int(cfg["n_classes"]),
-            hidden=int(cfg["hidden"]),
-            separation=float(cfg["separation"]),
-            trials=int(cfg["trials"]),
-            rng=int(cfg["seed"]),
-            epochs=int(cfg["epochs"]),
-            workers=workers,
+            **_args(cfg, "seed"), rng=cfg["seed"], workers=workers
         )
     return {"rows": rows}, _report(scope, "sweep")
 
@@ -89,7 +109,7 @@ def _check_dse(cfg: Config) -> None:
     from repro.costs.pareto import resolve_objectives
 
     try:
-        resolve_objectives([str(o) for o in cfg["objectives"]])
+        resolve_objectives(cfg["objectives"])
     except ValueError as exc:
         raise ValueError(f"objectives: {exc}") from None
 
@@ -98,18 +118,8 @@ def _run_dse(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.pipeline import explore_pipeline, pareto_analysis
 
     with _priced(cfg) as scope:
-        rows = explore_pipeline(
-            tile_counts=[int(t) for t in cfg["tile_counts"]],
-            duplication_modes=[str(d) for d in cfg["duplication_modes"]],
-            batch_sizes=[int(b) for b in cfg["batch_sizes"]],
-            adc_bits=[int(a) for a in cfg["adc_bits"]],
-            workload=str(cfg["workload"]),
-            micro_batch=int(cfg["micro_batch"]),
-            model_seed=int(cfg["model_seed"]),
-            seed=int(cfg["seed"]),
-            workers=workers,
-        )
-    pareto = pareto_analysis(rows, [str(o) for o in cfg["objectives"]])
+        rows = explore_pipeline(**_args(cfg, "objectives"), workers=workers)
+    pareto = pareto_analysis(rows, cfg["objectives"])
     return {"rows": rows, "pareto": pareto}, _report(scope, "dse")
 
 
@@ -125,8 +135,7 @@ def _run_pipeline(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     )
     from repro.pipeline.explore import reference_conv_graph, reference_graph
 
-    workload = str(cfg["workload"])
-    model_seed = int(cfg["model_seed"])
+    workload, model_seed = cfg["workload"], cfg["model_seed"]
     graph, graph_hit = artifacts.get_or_create(
         ("graph", workload, model_seed),
         lambda: (
@@ -135,32 +144,26 @@ def _run_pipeline(cfg: Config, workers: Optional[int] = 0, artifacts=None):
             else reference_graph(model_seed=model_seed)
         ),
     )
+    tiles, duplication, seed = cfg["tiles"], cfg["duplication"], cfg["seed"]
     alloc, alloc_hit = artifacts.get_or_create(
-        (
-            "alloc",
-            workload,
-            model_seed,
-            int(cfg["tiles"]),
-            str(cfg["duplication"]),
-            int(cfg["seed"]),
-        ),
+        ("alloc", workload, model_seed, tiles, duplication, seed),
         lambda: allocate(
             graph,
-            TileInventory(n_tiles=int(cfg["tiles"])),
-            duplication=str(cfg["duplication"]),
-            rng=int(cfg["seed"]),
+            TileInventory(n_tiles=tiles),
+            duplication=duplication,
+            rng=seed,
         ),
     )
     input_rng = np.random.default_rng(model_seed + 1)
     if graph.input_is_image:
         edge = graph.nodes[0].image_size
-        x = input_rng.uniform(0.0, 1.0, size=(int(cfg["batch"]), edge, edge))
+        x = input_rng.uniform(0.0, 1.0, size=(cfg["batch"], edge, edge))
     else:
         x = input_rng.uniform(
-            0.0, 1.0, size=(int(cfg["batch"]), graph.in_features)
+            0.0, 1.0, size=(cfg["batch"], graph.in_features)
         )
     sched = PipelineScheduler(
-        alloc, ScheduleParams(micro_batch=int(cfg["micro_batch"]))
+        alloc, ScheduleParams(micro_batch=cfg["micro_batch"])
     )
     with use_model(cfg["energy_model"]):
         run = sched.run(x, mode="pipelined", noisy=False)
@@ -178,17 +181,7 @@ def _run_ecc(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.testing.ecc_advisor import advise_ecc, ecc_advisor_analysis
 
     with _priced(cfg) as scope:
-        rows = advise_ecc(
-            codes=[str(c) for c in cfg["codes"]],
-            yields=[float(y) for y in cfg["yields"]],
-            scenarios=[str(s) for s in cfg["scenarios"]] or None,
-            data_bits=int(cfg["data_bits"]),
-            mc_words=int(cfg["mc_words"]),
-            words_per_array=int(cfg["words_per_array"]),
-            trials=int(cfg["trials"]),
-            seed=int(cfg["seed"]),
-            workers=workers,
-        )
+        rows = advise_ecc(**_args(cfg), workers=workers)
     advice = ecc_advisor_analysis(rows)
     return {"rows": rows, "advice": advice}, _report(scope, "ecc")
 
@@ -197,18 +190,7 @@ def _run_attention(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.workloads import explore_attention
 
     with _priced(cfg) as scope:
-        rows = explore_attention(
-            seqs=[int(s) for s in cfg["seqs"]],
-            d_heads=[int(d) for d in cfg["d_heads"]],
-            micro_batches=[int(m) for m in cfg["micro_batches"]],
-            d_model=int(cfg["d_model"]),
-            batch=int(cfg["batch"]),
-            n_tiles=int(cfg["n_tiles"]),
-            model_seed=int(cfg["model_seed"]),
-            trials=int(cfg["trials"]),
-            seed=int(cfg["seed"]),
-            workers=workers,
-        )
+        rows = explore_attention(**_args(cfg), workers=workers)
     return {"rows": rows}, _report(scope, "attention")
 
 
@@ -216,18 +198,7 @@ def _run_train(cfg: Config, workers: Optional[int] = 0, artifacts=None):
     from repro.workloads import explore_training
 
     with _priced(cfg) as scope:
-        rows = explore_training(
-            lives=[float(v) for v in cfg["lives"]],
-            drift_nus=[float(v) for v in cfg["drift_nus"]],
-            epochs=int(cfg["epochs"]),
-            n_features=int(cfg["n_features"]),
-            n_classes=int(cfg["n_classes"]),
-            write_sigma=float(cfg["write_sigma"]),
-            backend=str(cfg["backend"]),
-            trials=int(cfg["trials"]),
-            seed=int(cfg["seed"]),
-            workers=workers,
-        )
+        rows = explore_training(**_args(cfg), workers=workers)
     return {"rows": rows}, _report(scope, "train")
 
 
@@ -278,7 +249,7 @@ JOBS: Dict[str, Job] = {
             "energy_model": "static",
         },
         run=_run_pipeline,
-        uncached=(),
+        uncached={},
     ),
     "ecc": Job(
         defaults={

@@ -160,20 +160,20 @@ class RequestBatcher:
         if len(batch) > 1:
             self.stats.coalesced_flushes += 1
             telemetry.current().incr("serve.batch.coalesced_flushes")
-        stacked = (
-            batch[0].x
-            if len(batch) == 1
-            else np.concatenate([p.x for p in batch], axis=0)
-        )
-        self.stats.max_batch_rows = max(
-            self.stats.max_batch_rows, stacked.shape[0]
-        )
-        telemetry.current().incr("serve.batch.rows", stacked.shape[0])
         try:
+            stacked = (
+                batch[0].x
+                if len(batch) == 1
+                else np.concatenate([p.x for p in batch], axis=0)
+            )
+            self.stats.max_batch_rows = max(
+                self.stats.max_batch_rows, stacked.shape[0]
+            )
+            telemetry.current().incr("serve.batch.rows", stacked.shape[0])
             with telemetry.scoped() as scope:
                 out = group.runner(stacked)
             counters = scope.snapshot(include_timers=False)["counters"]
-        except Exception as exc:  # demux the failure to every waiter
+        except Exception as exc:  # stacking or runner: fail every waiter
             for p in batch:
                 if not p.future.done():
                     p.future.set_exception(exc)

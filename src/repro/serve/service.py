@@ -32,12 +32,14 @@ never served.
 from __future__ import annotations
 
 import asyncio
+import os
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.jobs import JOBS, REQUEST_KINDS
+from repro.costs.models import EnergyModelSpec, use_model
+from repro.jobs import JOBS, REQUEST_KINDS, ServiceConfig
 from repro.serve.batcher import RequestBatcher
 from repro.serve.cache import ArtifactCache, ResultsCache, config_fingerprint
 from repro.utils import telemetry
@@ -83,23 +85,6 @@ class QueueFullError(ServeError):
     code = "queue_full"
 
 
-@dataclass
-class ServiceConfig:
-    """Serving-layer knobs."""
-
-    max_inflight: int = 64          # admission-control bound
-    batch_window_s: float = 0.005   # coalescing window for inference
-    max_batch: int = 16             # flush immediately at this many requests
-    artifact_capacity: int = 32     # deployed models / graphs / allocations
-    results_capacity: int = 256     # whole-response cache entries
-
-    def __post_init__(self) -> None:
-        if self.max_inflight < 1:
-            raise ValueError(
-                f"max_inflight must be >= 1, got {self.max_inflight}"
-            )
-
-
 #: Defaults for the deployable reference MLP; every field participates in
 #: the model fingerprint, so two requests agree on a model artifact iff
 #: their *normalized* configs are equal.
@@ -118,26 +103,59 @@ MODEL_DEFAULTS: Dict[str, Any] = {
 }
 
 
-def _energy_spec(value: Any):
-    """Parse a request's energy-model choice; canonicalized through
-    :meth:`EnergyModelSpec.to_dict` it becomes part of the result-cache
-    fingerprint, so static and value-aware runs of the same config can
-    never share a warm hit."""
-    from repro.costs.models import EnergyModelSpec
+#: Parameters of the server-only kinds.  ``x`` has no default: a
+#: ``None`` default is required and typed by its handler.
+INFER_DEFAULTS: Dict[str, Any] = {
+    "x": None,
+    "noisy": False,
+    "energy_model": "static",
+    "model": {},
+}
+FAULTS_DEFAULTS: Dict[str, Any] = {"cell_yield": 0.9, "seed": 0, "model": {}}
 
-    try:
-        return EnergyModelSpec.parse(value)
-    except (TypeError, ValueError) as exc:
-        raise BadRequestError(f"bad energy_model: {exc}") from None
+_TYPE_NAMES = {
+    bool: "a boolean",
+    int: "an integer",
+    float: "a number",
+    str: "a string",
+    dict: "an object",
+    list: "an array",
+}
+
+
+def _typed(what: str, name: str, value: Any, default: Any) -> Any:
+    """``value`` in its default's JSON type: a bool, str or dict as is,
+    an integral number as ``int``, any number as ``float``, and an array
+    item by item like ``default[0]`` (a string if the default is empty).
+    A ``None`` default leaves the value to its handler.  ``name`` is the
+    parameter's, also for an item of an array."""
+    kind = type(default)
+    number = isinstance(value, (int, float)) and not isinstance(value, bool)
+    if default is None or (kind in (bool, str, dict) and isinstance(value, kind)):
+        return value
+    if kind is float and number:
+        return float(value)
+    if kind is int and number and (isinstance(value, int) or value.is_integer()):
+        return int(value)
+    if kind is list and isinstance(value, list):
+        item = default[0] if default else ""
+        return [_typed(what, name, v, item) for v in value]
+    raise BadRequestError(
+        f"{what} parameter {name} must be {_TYPE_NAMES[kind]}, got {value!r}",
+        parameter=name,
+    )
 
 
 def _normalize(
     params: Dict[str, Any], defaults: Dict[str, Any], what: str
 ) -> Dict[str, Any]:
-    """Fill defaults and reject unknown keys, so every equivalent request
-    normalizes to the same fingerprint and typos never silently fork a
-    cache entry."""
-    params = dict(params or {})
+    """Fill defaults, reject unknown keys and give every given value its
+    default's type (:func:`_typed`), so every equivalent request
+    normalizes to the same fingerprint and a typo or a mistyped value is
+    a ``bad_request``, never a forked cache entry or a crash in the job.
+    ``energy_model`` becomes its parsed spec's canonical dict: in the
+    fingerprint, static and value-aware runs never share a warm hit."""
+    params = params or {}
     unknown = sorted(set(params) - set(defaults))
     if unknown:
         raise BadRequestError(
@@ -146,8 +164,34 @@ def _normalize(
             allowed=sorted(defaults),
         )
     out = dict(defaults)
-    out.update(params)
+    for name, value in params.items():
+        out[name] = (
+            value
+            if name == "energy_model"
+            else _typed(what, name, value, defaults[name])
+        )
+    if "energy_model" in out:
+        try:
+            spec = EnergyModelSpec.parse(out["energy_model"])
+        except (TypeError, ValueError) as exc:
+            raise BadRequestError(f"bad energy_model: {exc}") from None
+        out["energy_model"] = spec.to_dict()
     return out
+
+
+def _input_rows(x_raw: Any, width: int) -> np.ndarray:
+    """``infer``'s ``x`` as ``(n_rows, width)`` floats: one input vector
+    of ``width`` numbers or a list of them."""
+    try:
+        x = np.asarray(x_raw)
+    except ValueError:                  # ragged rows
+        x = np.asarray(None)
+    if x.dtype.kind not in "iuf" or x.ndim not in (1, 2) or x.shape[-1] != width:
+        raise BadRequestError(
+            f"x must be one input vector of {width} numbers or a list of them",
+            parameter="x",
+        )
+    return np.atleast_2d(x).astype(float, copy=False)
 
 
 @dataclass
@@ -182,8 +226,6 @@ class SimulationService:
         self.requests_rejected = 0
         self.requests_failed: Dict[str, int] = {}     # error code -> count
         self.requests_by_kind: Dict[str, int] = {}
-        self.results_hits = 0
-        self.results_misses = 0
         self._inflight = 0
         self._compute_lock = asyncio.Lock()
 
@@ -243,15 +285,6 @@ class SimulationService:
         return response
 
     # ------------------------------------------------------- result caching
-    def _cached(self, kind: str, cfg: Dict[str, Any]) -> Tuple[Any, Optional[Dict]]:
-        key = ResultsCache.key(kind, cfg)
-        hit = self.results.get(key)
-        if hit is not None:
-            self.results_hits += 1
-        else:
-            self.results_misses += 1
-        return key, hit
-
     def _finish(
         self,
         kind: str,
@@ -288,14 +321,22 @@ class SimulationService:
         event loop thread.  A ``ValueError`` from the job's inputs is the
         client's fault: it becomes a ``bad_request``."""
         job = JOBS[kind]
-        params = dict(params)
-        uncached = {name: params.pop(name) for name in job.uncached if name in params}
-        cfg = _normalize(params, job.defaults, kind)
-        cfg["energy_model"] = _energy_spec(cfg["energy_model"]).to_dict()
+        cfg = _normalize(params, {**job.defaults, **job.uncached}, kind)
+        uncached = {name: cfg.pop(name) for name in job.uncached}
+        # Results and reports are the same at any worker count, so the
+        # cap only bounds the processes one request starts.
+        workers = uncached.get("workers", 0)
+        if workers < -1:
+            raise BadRequestError(
+                f"workers must be >= -1, got {workers}", parameter="workers"
+            )
+        if workers > 0:
+            uncached["workers"] = min(workers, os.cpu_count() or 1)
         try:
             if job.check is not None:
                 job.check(cfg)
-            key, hit = self._cached(kind, cfg)
+            key = ResultsCache.key(kind, cfg)
+            hit = self.results.get(key)
             if hit is not None:
                 return self._response(kind, "hit", hit)
             async with self._compute_lock:
@@ -315,28 +356,27 @@ class SimulationService:
         from repro.apps.nn import MLP, CrossbarMLP
         from repro.core.accelerator import AcceleratorParams
 
-        gen = np.random.default_rng(int(cfg["seed"]))
+        gen = np.random.default_rng(cfg["seed"])
         x, y = gaussian_blobs(
-            n_samples=int(cfg["n_samples"]),
-            n_features=int(cfg["n_features"]),
-            n_classes=int(cfg["n_classes"]),
-            separation=float(cfg["separation"]),
+            n_samples=cfg["n_samples"],
+            n_features=cfg["n_features"],
+            n_classes=cfg["n_classes"],
+            separation=cfg["separation"],
             rng=gen,
         )
-        split = int(0.7 * int(cfg["n_samples"]))
-        hidden = [int(h) for h in cfg["hidden"]]
+        split = int(0.7 * cfg["n_samples"])
         mlp = MLP(
-            [int(cfg["n_features"]), *hidden, int(cfg["n_classes"])], rng=gen
+            [cfg["n_features"], *cfg["hidden"], cfg["n_classes"]], rng=gen
         )
-        mlp.train(x[:split], y[:split], epochs=int(cfg["epochs"]), rng=gen)
+        mlp.train(x[:split], y[:split], epochs=cfg["epochs"], rng=gen)
         deployed = CrossbarMLP(
             mlp,
             calibration=x[:split],
             accel_params=AcceleratorParams(
-                tile_rows=int(cfg["tile_rows"]),
-                tile_cols=int(cfg["tile_cols"]),
-                adc_bits=int(cfg["adc_bits"]),
-                wire_resistance=float(cfg["wire_resistance"]),
+                tile_rows=cfg["tile_rows"],
+                tile_cols=cfg["tile_cols"],
+                adc_bits=cfg["adc_bits"],
+                wire_resistance=cfg["wire_resistance"],
             ),
             rng=gen,
         )
@@ -372,26 +412,12 @@ class SimulationService:
 
     # ----------------------------------------------------------- kind:infer
     async def _handle_infer(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        x_raw = params.pop("x", None)
-        if x_raw is None:
+        cfg = _normalize(params, INFER_DEFAULTS, "infer")
+        if cfg["x"] is None:
             raise BadRequestError("infer requires 'x' (one or more inputs)")
-        noisy = bool(params.pop("noisy", False))
-        spec = _energy_spec(params.pop("energy_model", "static"))
-        model_params = params.pop("model", {})
-        if params:
-            raise BadRequestError(
-                f"unknown infer parameter(s): {', '.join(sorted(params))}"
-            )
-        x = np.asarray(x_raw, dtype=float)
-        if x.ndim == 1:
-            x = x[None, :]
-        if x.ndim != 2:
-            raise BadRequestError(
-                f"x must be one input vector or a list of them, got "
-                f"shape {x.shape}"
-            )
-        artifact, _ = self.model_artifact(model_params)
+        artifact, _ = self.model_artifact(cfg["model"])
+        x = _input_rows(cfg["x"], artifact.x_train.shape[1])
+        noisy, energy_model = cfg["noisy"], cfg["energy_model"]
         fp = artifact.fingerprint
         # Key on the model *fingerprint* (injective for normalized
         # configs) rather than re-embedding the whole config — request
@@ -401,24 +427,23 @@ class SimulationService:
             "x": x.tolist(),
             "noisy": noisy,
             "model_version": artifact.version,
-            "energy_model": spec.to_dict(),
+            "energy_model": energy_model,
         }
-        key, hit = self._cached("infer", request_cfg)
+        key = ResultsCache.key("infer", request_cfg)
+        hit = self.results.get(key)
         if hit is not None and not noisy:
             return self._response("infer", "hit", hit)
 
         deployed = artifact.deployed
 
         def _forward(stacked: np.ndarray) -> Any:
-            from repro.costs.models import use_model
-
-            with use_model(spec):
+            with use_model(energy_model):
                 return deployed.forward_batch(stacked, noisy=noisy)
 
-        # The spec is part of the coalescing key: a flush runs under ONE
-        # model, so only same-priced requests may share a batch.
+        # The energy model is part of the coalescing key: a flush runs
+        # under ONE model, so only same-priced requests may share a batch.
         out, counters = await self.batcher.submit(
-            ("model", fp, artifact.version, noisy, spec),
+            ("model", fp, artifact.version, noisy, tuple(energy_model.items())),
             x,
             _forward,
         )
@@ -437,23 +462,17 @@ class SimulationService:
 
     # ---------------------------------------------------------- kind:faults
     async def _handle_faults(self, params: Dict[str, Any]) -> Dict[str, Any]:
-        params = dict(params)
-        cell_yield = float(params.pop("cell_yield", 0.9))
-        seed = int(params.pop("seed", 0))
-        model_params = params.pop("model", {})
-        if params:
-            raise BadRequestError(
-                f"unknown faults parameter(s): {', '.join(sorted(params))}"
-            )
+        cfg = _normalize(params, FAULTS_DEFAULTS, "faults")
+        cell_yield = cfg["cell_yield"]
         if not 0.0 < cell_yield <= 1.0:
             raise BadRequestError(
                 f"cell_yield must be in (0, 1], got {cell_yield}"
             )
-        artifact, _ = self.model_artifact(model_params)
+        artifact, _ = self.model_artifact(cfg["model"])
         fp = artifact.fingerprint
         with telemetry.scoped() as scope:
             rate = artifact.deployed.inject_yield_faults(
-                cell_yield, rng=np.random.default_rng(seed)
+                cell_yield, rng=np.random.default_rng(cfg["seed"])
             )
         # The deployment mutated in place: anything derived from its
         # previous state is stale.  Bump the version (future infer keys
@@ -493,6 +512,7 @@ class SimulationService:
     # ------------------------------------------------------------ telemetry
     def stats(self) -> Dict[str, Any]:
         """Serving-layer statistics: admission, caches, batcher."""
+        results = self.results.stats()
         return {
             "requests_total": self.requests_total,
             "requests_completed": self.requests_completed,
@@ -502,9 +522,9 @@ class SimulationService:
             "inflight": self._inflight,
             "max_inflight": self.config.max_inflight,
             "results_cache": {
-                **self.results.stats(),
-                "request_hits": self.results_hits,
-                "request_misses": self.results_misses,
+                **results,
+                "request_hits": results["hits"],
+                "request_misses": results["misses"],
             },
             "artifact_cache": self.artifacts.stats(),
             "batcher": self.batcher.stats.as_dict(),

@@ -4,6 +4,7 @@ import pytest
 
 from repro.cli import SWEEP_COMMANDS, _COMMANDS, build_parser, job_config, main
 from repro.jobs import JOBS
+from repro.serve import ServiceConfig
 from repro.serve.cache import canonical_json
 
 
@@ -118,6 +119,15 @@ class TestParser:
         assert args.window == 0.01
         assert args.max_batch == 8
         assert args.max_inflight == 4
+
+    def test_serve_defaults_are_the_service_defaults(self):
+        args = build_parser().parse_args(["serve"])
+        config = ServiceConfig()
+        assert (args.window, args.max_batch, args.max_inflight) == (
+            config.batch_window_s,
+            config.max_batch,
+            config.max_inflight,
+        )
 
     def test_submit_options(self):
         args = build_parser().parse_args(

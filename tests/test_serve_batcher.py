@@ -172,6 +172,26 @@ class TestErrors:
         assert len(results) == 3
         assert all(isinstance(r, RuntimeError) for r in results)
 
+    def test_stacking_failure_propagates_to_every_waiter(self):
+        """Blocks of different widths cannot be stacked: the timer flush
+        must fail both waiters rather than leave them hanging."""
+
+        async def main():
+            batcher = RequestBatcher(window_s=0.01, max_batch=8)
+            return await asyncio.gather(
+                *[
+                    asyncio.wait_for(
+                        batcher.submit("m", np.ones((1, width)), doubling_runner),
+                        1,
+                    )
+                    for width in (2, 3)
+                ],
+                return_exceptions=True,
+            )
+
+        results = run(main())
+        assert [type(r) for r in results] == [ValueError, ValueError]
+
     def test_rejects_bad_input_shapes(self):
         async def main():
             batcher = RequestBatcher()

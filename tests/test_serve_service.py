@@ -4,10 +4,12 @@ admission control, per-request reports)."""
 import asyncio
 import hashlib
 import json
+import os
 
 import numpy as np
 import pytest
 
+from repro.jobs import JOBS, Job
 from repro.serve import (
     BadRequestError,
     QueueFullError,
@@ -295,7 +297,7 @@ class TestSweepAndDse:
 
         # Rejected before the results cache is consulted, so before any
         # grid point runs.
-        assert run(main()).results_misses == 0
+        assert run(main()).stats()["results_cache"]["request_misses"] == 0
 
 
 class TestJobKinds:
@@ -915,3 +917,113 @@ class TestStatsAndLifetime:
                 await svc.submit({"kind": "stats", "params": [1]})
 
         run(main())
+
+
+class TestTypedRequests:
+    """Every served parameter takes its default's JSON type; anything
+    else is a ``bad_request`` naming the parameter, before any compute."""
+
+    @pytest.mark.parametrize(
+        "kind, params, parameter",
+        [
+            ("train", {"epochs": [5]}, "epochs"),
+            ("attention", {"seqs": 4}, "seqs"),
+            ("attention", {"workers": "2"}, "workers"),
+            ("attention", {"batch": "4"}, "batch"),
+            ("sweep", {"yields": 0.9}, "yields"),
+            ("sweep", {**SWEEP, "trials": 2.5}, "trials"),
+            ("sweep", {"trials": True}, "trials"),
+            ("dse", {"batch_sizes": 16}, "batch_sizes"),
+            ("pipeline", {"tiles": None}, "tiles"),
+            ("ecc", {"codes": "secded"}, "codes"),
+            ("faults", {"cell_yield": [0.9]}, "cell_yield"),
+            ("faults", {"seed": "x"}, "seed"),
+            ("infer", {"x": [[0.1] * 16], "model": "mlp"}, "model"),
+            ("infer", {"x": [["a"] * 16], "model": MODEL}, "x"),
+            ("infer", {"x": [[0.1] * 3], "model": MODEL}, "x"),
+            ("infer", {"x": [[0.1] * 16], "model": MODEL, "noisy": "false"}, "noisy"),
+            ("infer", {"x": [[0.1] * 16], "model": {"hidden": 8}}, "hidden"),
+        ],
+    )
+    def test_mistyped_request_is_a_bad_request(self, kind, params, parameter):
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError) as excinfo:
+                await svc.submit({"kind": kind, "params": params})
+            return svc.stats(), excinfo.value.payload()
+
+        stats, payload = run(main())
+        assert payload["parameter"] == parameter
+        assert stats["requests_failed"] == {"bad_request": 1}
+        assert stats["requests_total"] == (
+            stats["requests_completed"]
+            + stats["requests_rejected"]
+            + sum(stats["requests_failed"].values())
+        )
+
+    def test_integral_float_shares_the_int_cache_entry(self):
+        async def main():
+            svc = make_service()
+            await svc.submit({"kind": "attention", "params": ATTENTION})
+            return await svc.submit(
+                {"kind": "attention", "params": {**ATTENTION, "batch": 8.0}}
+            )
+
+        assert run(main())["cache"] == "hit"
+
+    def test_wrong_width_infer_does_not_stall_its_batch(self):
+        async def main():
+            svc = make_service(batch_window_s=0.01)
+            svc.model_artifact(MODEL)           # deploy outside the timing
+            xs = inputs(2, seed=21)
+            requests = [
+                infer_request(xs[0]),
+                {"kind": "infer", "params": {"model": MODEL, "x": [[0.1] * 3]}},
+                infer_request(xs[1]),
+            ]
+            return await asyncio.gather(
+                *[asyncio.wait_for(svc.submit(r), 1) for r in requests],
+                return_exceptions=True,
+            )
+
+        first, bad, last = run(main())
+        assert first["ok"] and last["ok"]
+        assert isinstance(bad, BadRequestError)
+
+    def test_one_input_vector_is_one_row(self):
+        async def main():
+            svc = make_service()
+            x = inputs(1, seed=22)[0]
+            vector = await svc.submit(
+                {"kind": "infer", "params": {"model": MODEL, "x": list(x)}}
+            )
+            return vector, await svc.submit(infer_request(x))
+
+        vector, rows = run(main())
+        assert rows["cache"] == "hit"
+        assert vector["result"] == rows["result"]
+
+    def test_workers_is_typed_and_capped_at_the_core_count(self, monkeypatch):
+        received = []
+
+        def stub(cfg, workers=0, artifacts=None):
+            received.append(workers)
+            return {"seed": cfg["seed"]}, RunReport(label="stub")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        monkeypatch.setitem(JOBS, "sweep", Job(defaults={"seed": 0}, run=stub))
+
+        async def main():
+            svc = make_service()
+            for seed, workers in enumerate((512, 2, 1, -1)):
+                params = {"seed": seed, "workers": workers}
+                await svc.submit({"kind": "sweep", "params": params})
+            await svc.submit({"kind": "sweep", "params": {"seed": 9}})
+            for workers in (-2, 1.5, "2"):
+                with pytest.raises(BadRequestError, match="workers"):
+                    await svc.submit(
+                        {"kind": "sweep", "params": {"workers": workers}}
+                    )
+
+        run(main())
+        assert received == [2, 2, 1, -1, 0]
