@@ -10,9 +10,10 @@ training sweep run on a 2-process pool must report the energy its pool
 workers charged, and the same request without ``workers`` must be a
 results-cache hit (the worker count changes neither result nor
 report).  Requests that fail (an invalid sweep, a mistyped train, a
-wrong-width inference) must come back as structured ``bad_request``s,
-never ``internal``, and be counted in ``stats``: every admitted request
-is completed, rejected, failed or in flight.
+wrong-width inference, an inference on an out-of-range model) must come
+back as structured ``bad_request``s, never ``internal``, and be counted
+in ``stats``: every admitted request is completed, rejected, failed or
+in flight.
 
 Exits non-zero (with a message on stderr) on any violation.
 """
@@ -123,6 +124,11 @@ def main():
                     "infer",
                     {"model": MODEL, "x": [[0.1] * 3]},
                 ),
+                (
+                    "out-of-range infer",
+                    "infer",
+                    {"model": {"n_features": 0}, "x": [[0.1]]},
+                ),
             ):
                 bad = client.request(kind, params)
                 if bad.get("ok") or bad["error"]["code"] != "bad_request":
@@ -140,7 +146,7 @@ def main():
                 + sum(result["requests_failed"].values())
                 + result["inflight"]
             )
-            if result["requests_failed"] != {"bad_request": 3} or (
+            if result["requests_failed"] != {"bad_request": 4} or (
                 accounted != result["requests_total"]
             ):
                 fail(f"stats do not account for every request: {result}")

@@ -172,8 +172,12 @@ class CIMCore:
 
         All inputs in the batch see the same conductance snapshot (one
         read-noise sample), modelling back-to-back evaluations within the
-        noise correlation time.  With ``wire_resistance > 0`` the whole
-        batch is back-substituted against a single cached LU factorization
+        noise correlation time.  The read path is batched end to end: one
+        range check and encode of the whole batch, one wordline drive
+        (one activation count) and one conductance snapshot for its read
+        power, never one per input row.  With ``wire_resistance > 0`` the
+        whole batch is back-substituted against a single cached LU
+        factorization
         (:meth:`~repro.crossbar.solver.NodalCrossbarSolver.solve_batch`),
         so the per-input cost is a triangular solve, not a factorization.
         """
@@ -192,9 +196,7 @@ class CIMCore:
         telemetry.current().incr("core.vmm_batches")
         telemetry.current().incr("core.vmm_inputs", batch)
         activations_before = self.driver.activations
-        voltages = np.stack(
-            [self.driver.drive_analog(self.encoder.amplitude(row)) for row in x]
-        )
+        voltages = self.driver.drive_analog(self.encoder.amplitude(x))
         if self._ir_solver is not None:
             g = (
                 self.array.read_conductances()
@@ -211,9 +213,7 @@ class CIMCore:
         y = self.mapping.decode(digitized, voltages, v_scale=p.v_read)
 
         n_cols = self.array.cols
-        settle_power = sum(
-            self.array.dynamic_read_power(voltages[k]) for k in range(batch)
-        )
+        settle_power = self.array.dynamic_read_power(voltages)
         model = energy_models.active_model()
         model.charge_dac(
             self.costs,

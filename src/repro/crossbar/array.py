@@ -343,13 +343,21 @@ class CrossbarArray:
         This is the observable that the online changepoint detector of
         [52] (Fig 7) monitors — stuck faults change column conductance and
         therefore shift this power signature.
+
+        A ``(batch, rows)`` matrix gives the summed power of its rows,
+        evaluated back to back on one conductance snapshot.  The rows are
+        summed one dot product at a time, in row order, on purpose: that
+        is bit for bit the sum of one call per row, which a matrix
+        product (BLAS gemv) or ``einsum`` is not.
         """
         voltages = np.asarray(voltages, dtype=float)
-        if voltages.shape != (self.rows,):
+        if voltages.ndim not in (1, 2) or voltages.shape[-1] != self.rows:
             raise ValueError(
-                f"voltage vector must have shape ({self.rows},), got {voltages.shape}"
+                f"voltages must have shape ({self.rows},) or "
+                f"(batch, {self.rows}), got {voltages.shape}"
             )
-        return float((voltages**2) @ self.conductances().sum(axis=1))
+        g_rows = self.conductances().sum(axis=1)
+        return float(sum(map(g_rows.dot, np.atleast_2d(voltages) ** 2)))
 
     def _check_cell(self, row: int, col: int) -> None:
         if not (0 <= row < self.rows and 0 <= col < self.cols):

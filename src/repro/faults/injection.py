@@ -126,10 +126,13 @@ class FaultInjector:
         check_probability("sa1_fraction", sa1_fraction)
         rows, cols = self.array.shape
         hit = self._rng.random((rows, cols)) < fault_rate
-        for r, c in zip(*np.nonzero(hit)):
-            is_sa1 = self._rng.random() < sa1_fraction
-            fault_type = FaultType.STUCK_AT_1 if is_sa1 else FaultType.STUCK_AT_0
-            self.inject_fault(Fault(fault_type, int(r), int(c)))
+        hit_rows, hit_cols = np.nonzero(hit)
+        # One SA1 coin per hit, all drawn at once in np.nonzero order: the
+        # same doubles, and the same final stream, as one draw per hit.
+        is_sa1 = (self._rng.random(hit_rows.size) < sa1_fraction).tolist()
+        for r, c, sa1 in zip(hit_rows.tolist(), hit_cols.tolist(), is_sa1):
+            fault_type = FaultType.STUCK_AT_1 if sa1 else FaultType.STUCK_AT_0
+            self.inject_fault(Fault(fault_type, r, c))
         return self.fault_map
 
     def inject_for_yield(self, cell_yield: float, sa1_fraction: float = 0.0) -> FaultMap:

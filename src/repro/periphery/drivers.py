@@ -126,11 +126,18 @@ class WordlineDriver:
         return np.where(mask, voltage, 0.0)
 
     def drive_analog(self, voltages: np.ndarray) -> np.ndarray:
-        """Arbitrary per-row analog voltages (DAC-driven mode)."""
+        """Arbitrary per-row analog voltages (DAC-driven mode).
+
+        ``voltages`` is one drive, shape ``(rows,)``, or a batch of
+        back-to-back drives, shape ``(batch, rows)``.  Every nonzero entry
+        is one wordline activation; the whole call charges their count
+        once, the same total as one call per drive.
+        """
         voltages = np.asarray(voltages, dtype=float)
-        if voltages.shape != (self.n_rows,):
+        if voltages.ndim not in (1, 2) or voltages.shape[-1] != self.n_rows:
             raise ValueError(
-                f"voltages must have shape ({self.n_rows},), got {voltages.shape}"
+                f"voltages must have shape ({self.n_rows},) or "
+                f"(batch, {self.n_rows}), got {voltages.shape}"
             )
         active = int(np.count_nonzero(voltages))
         self._activations += active

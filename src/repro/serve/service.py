@@ -33,6 +33,7 @@ from __future__ import annotations
 
 import asyncio
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Dict, Optional, Tuple
 
@@ -194,6 +195,18 @@ def _input_rows(x_raw: Any, width: int) -> np.ndarray:
     return np.atleast_2d(x).astype(float, copy=False)
 
 
+def _validated(report: RunReport) -> RunReport:
+    """``report`` after its conservation check.  A failed check is the
+    server's fault, so it is raised as an ``internal`` error, never as the
+    ``ValueError`` that :meth:`SimulationService.submit` reads as a bad
+    request."""
+    try:
+        report.validate()
+    except ValueError as exc:
+        raise RuntimeError(f"{report.label} report: {exc}") from exc
+    return report
+
+
 @dataclass
 class _DeployedModel:
     """A deployed-model artifact: the crossbar network plus the data it
@@ -224,7 +237,7 @@ class SimulationService:
         self.requests_total = 0
         self.requests_completed = 0
         self.requests_rejected = 0
-        self.requests_failed: Dict[str, int] = {}     # error code -> count
+        self.requests_failed: Dict[str, int] = Counter()  # error code -> count
         self.requests_by_kind: Dict[str, int] = {}
         self._inflight = 0
         self._compute_lock = asyncio.Lock()
@@ -274,10 +287,20 @@ class SimulationService:
                 response = await self._run_job(kind, params)
             else:
                 response = await getattr(self, f"_handle_{kind}")(params)
+        except ValueError as exc:
+            # A ValueError from the request's inputs (a job or model
+            # config, a seed) is the client's fault, in every kind.
+            self.requests_failed["bad_request"] += 1
+            raise BadRequestError(f"bad {kind} request: {exc}") from None
+        except asyncio.CancelledError:
+            # Cancelled in flight (a client timeout): counted, and the
+            # cancellation propagates.
+            self.requests_failed["cancelled"] += 1
+            raise
         except Exception as exc:
             # Same codes the socket server sends back for this exception.
             code = exc.code if isinstance(exc, ServeError) else "internal"
-            self.requests_failed[code] = self.requests_failed.get(code, 0) + 1
+            self.requests_failed[code] += 1
             raise
         finally:
             self._inflight -= 1
@@ -297,7 +320,7 @@ class SimulationService:
         """Validate + merge the report, cache the payload, and build the
         response from the cache's canonical copy (so a later warm hit is
         bit-identical to this cold response)."""
-        report.validate()
+        _validated(report)
         self.lifetime_report = self.lifetime_report.merge(report)
         payload = {"result": result, "report": report.to_dict()}
         if cache:
@@ -318,8 +341,7 @@ class SimulationService:
     async def _run_job(self, kind: str, params: Dict[str, Any]) -> Dict[str, Any]:
         """Serve one :data:`~repro.jobs.JOBS` kind: normalize, look up the
         results cache, else run the job under the compute lock off the
-        event loop thread.  A ``ValueError`` from the job's inputs is the
-        client's fault: it becomes a ``bad_request``."""
+        event loop thread."""
         job = JOBS[kind]
         cfg = _normalize(params, {**job.defaults, **job.uncached}, kind)
         uncached = {name: cfg.pop(name) for name in job.uncached}
@@ -332,19 +354,16 @@ class SimulationService:
             )
         if workers > 0:
             uncached["workers"] = min(workers, os.cpu_count() or 1)
-        try:
-            if job.check is not None:
-                job.check(cfg)
-            key = ResultsCache.key(kind, cfg)
-            hit = self.results.get(key)
-            if hit is not None:
-                return self._response(kind, "hit", hit)
-            async with self._compute_lock:
-                result, report = await asyncio.to_thread(
-                    job.run, cfg, artifacts=self.artifacts, **uncached
-                )
-        except ValueError as exc:
-            raise BadRequestError(f"bad {kind} request: {exc}") from None
+        if job.check is not None:
+            job.check(cfg)
+        key = ResultsCache.key(kind, cfg)
+        hit = self.results.get(key)
+        if hit is not None:
+            return self._response(kind, "hit", hit)
+        async with self._compute_lock:
+            result, report = await asyncio.to_thread(
+                job.run, cfg, artifacts=self.artifacts, **uncached
+            )
         return self._finish(kind, key, result, report)
 
     # ------------------------------------------------------ model artifacts
@@ -499,8 +518,7 @@ class SimulationService:
     async def _handle_stats(self, params: Dict[str, Any]) -> Dict[str, Any]:
         if params:
             raise BadRequestError("stats takes no parameters")
-        report = self.lifetime_report
-        report.validate()
+        report = _validated(self.lifetime_report)
         return {
             "ok": True,
             "kind": "stats",

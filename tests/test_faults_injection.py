@@ -87,6 +87,27 @@ class TestInjection:
         assert FaultType.STUCK_AT_0 not in groups
         assert FaultType.STUCK_AT_1 in groups
 
+    @pytest.mark.parametrize("seed", [0, 7, 123])
+    @pytest.mark.parametrize("rate", [0.0, 0.01, 0.3, 1.0])
+    @pytest.mark.parametrize("sa1_fraction", [0.0, 0.4, 1.0])
+    def test_stuck_at_matches_scalar_coin_loop(self, seed, rate, sa1_fraction):
+        """One vector draw of the SA1 coins gives the fault map, the array
+        state and the final RNG state of one scalar draw per hit."""
+        fast = FaultInjector(_array(n=24), rng=seed)
+        fast.inject_stuck_at(rate, sa1_fraction)
+
+        ref = FaultInjector(_array(n=24), rng=seed)
+        hit = ref._rng.random(ref.array.shape) < rate
+        for r, c in zip(*np.nonzero(hit)):
+            is_sa1 = ref._rng.random() < sa1_fraction
+            fault_type = FaultType.STUCK_AT_1 if is_sa1 else FaultType.STUCK_AT_0
+            ref.inject_fault(Fault(fault_type, int(r), int(c)))
+
+        assert fast.fault_map.faults == ref.fault_map.faults
+        assert np.array_equal(fast.array.conductances(), ref.array.conductances())
+        assert np.array_equal(fast.array._stuck_mask, ref.array._stuck_mask)
+        assert fast._rng.bit_generator.state == ref._rng.bit_generator.state
+
     def test_exact_count(self):
         array = _array()
         injector = FaultInjector(array, rng=5)

@@ -906,6 +906,72 @@ class TestStatsAndLifetime:
             + stats["inflight"]
         )
 
+    def test_cancelled_request_is_accounted(self):
+        """A request cancelled in flight (a client timeout) is counted as
+        a ``cancelled`` failure, and the cancellation still propagates."""
+
+        async def main():
+            svc = make_service(batch_window_s=60)
+            svc.model_artifact(MODEL)
+            with pytest.raises(asyncio.TimeoutError):
+                await asyncio.wait_for(
+                    svc.submit(infer_request(inputs(1, seed=14)[0])), 0.05
+                )
+            return svc.stats()
+
+        stats = run(main())
+        assert stats["requests_failed"] == {"cancelled": 1}
+        assert stats["requests_total"] == 1
+        assert stats["requests_total"] == (
+            stats["requests_completed"]
+            + stats["requests_rejected"]
+            + sum(stats["requests_failed"].values())
+            + stats["inflight"]
+        )
+
+    @pytest.mark.parametrize(
+        "kind, params",
+        [
+            ("faults", {"seed": -1}),
+            ("infer", {"x": [[0.1] * 16], "model": {"n_features": 0}}),
+            ("infer", {"x": [[0.1] * 16], "model": {"hidden": [-3]}}),
+            ("infer", {"x": [[0.1] * 16], "model": {"tile_rows": 0}}),
+        ],
+    )
+    def test_out_of_range_input_is_a_bad_request(self, kind, params):
+        """A well-typed value the model rejects is the client's fault in
+        every kind, not only the job kinds."""
+
+        async def main():
+            svc = make_service()
+            with pytest.raises(BadRequestError, match=f"bad {kind} request"):
+                await svc.submit({"kind": kind, "params": params})
+            return svc.stats()
+
+        stats = run(main())
+        assert stats["requests_failed"] == {"bad_request": 1}
+
+    def test_report_conservation_failure_stays_internal(self, monkeypatch):
+        """Only the request's inputs make a ``ValueError`` a bad request:
+        a report that fails its conservation check is the server's fault."""
+
+        def broken(self):
+            raise ValueError("fractions sum to 0.5")
+
+        def stub(cfg, workers=0, artifacts=None):
+            return {"seed": cfg["seed"]}, RunReport(label="stub")
+
+        monkeypatch.setattr(RunReport, "validate", broken)
+        monkeypatch.setitem(JOBS, "sweep", Job(defaults={"seed": 0}, run=stub))
+
+        async def main():
+            svc = make_service()
+            with pytest.raises(RuntimeError, match="stub report"):
+                await svc.submit({"kind": "sweep", "params": {}})
+            return svc.stats()
+
+        assert run(main())["requests_failed"] == {"internal": 1}
+
     def test_bad_kind_and_shape_rejections(self):
         async def main():
             svc = make_service()
